@@ -326,8 +326,16 @@ def _cmd_reproduce(args) -> int:
     return 0 if all_passed else 1
 
 
+def _seed_default() -> int:
+    raw = os.environ.get("QCSTAR_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"QCSTAR_SEED must be an integer, got {raw!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    seed_default = int(os.environ.get("QCSTAR_SEED", "0"))
+    seed_default = _seed_default()
     top = argparse.ArgumentParser(
         prog="qcstar",
         description="K-theory of graph C*-algebras and exact rewriting "
@@ -409,8 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "graph": _cmd_graph,
         "ktheory": _cmd_ktheory,
@@ -419,6 +425,7 @@ def main(argv=None) -> int:
         "reproduce-paper": _cmd_reproduce,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except _USAGE_ERRORS as err:
         print(f"qcstar: {err}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Truncated matrix models of the built-in *-algebras.
+"""Truncated weighted-shift models of the built-in *-algebras.
 
 Every infinite-dimensional representation here is a weighted shift on a
 basis e_0 .. e_{N-1}: a generator sends e_k to a scalar times e_{k+d}
@@ -6,13 +6,15 @@ for a fixed displacement d, and anything landing outside the truncation
 window is dropped.  Dropping only corrupts entries near the top index,
 so all assertions restrict to a compressed block: rows and columns
 0 .. N-1-margin, where margin is the shift bound times the word degree
-involved.  On that block the truncated matrices agree exactly with the
+involved.  On that block the truncated operators agree exactly with the
 infinite model, and residuals are pure floating-point roundoff.
 
-Evaluation is float64 with dense matrices by default.  For checks whose
-cancellation exceeds float64's digits, element_mismatch takes a digit
-count: the generators are then rebuilt from exact q as weighted shifts
-at that mpmath precision (ShiftForm), from the same weight formulas.
+Generators are stored as what they are, (displacement, weights) pairs
+(ShiftForm), and a word is applied shift by shift in O(N) per letter.
+One store serves two precisions: dps=None holds complex128 weights, a
+digit count holds mpmath numbers rebuilt from exact q at that precision,
+for checks whose cancellation exceeds float64's digits.  A dense matrix
+is formed only on request (evaluate, Representation.matrix).
 
 The independence check for the projective-space basis monomials works in
 exact rational arithmetic.  Each basis family acts on e_n by a rational
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -46,22 +49,21 @@ REP_NAMES = ("rho_plus", "rho_minus", "pi_plus", "pi_minus",
 
 
 class Representation:
-    """Generator-to-matrix assignment over a fixed presentation.
+    """A presentation's generators as weighted shifts, truncated at dim.
 
     block_dims records the direct-sum structure; compression windows are
     applied per block so boundary artifacts of every summand are masked.
 
-    shift_builder, when given, rebuilds the generators for the
-    high-precision path: called with a digit count under that mpmath
-    working precision, it returns (q, ops) with q exact at that precision
-    and ops[i] the weighted shifts of generator i (see ShiftForm).
+    build(dps) constructs the generators under the working precision of
+    dps and returns (q, ops): q as a float for dps=None and exact at dps
+    digits otherwise, ops[i] the weighted shifts of generator i (see
+    ShiftForm).  shift_form(dps) calls it once per precision.
     """
 
     def __init__(self, presentation: AlgebraPresentation, name: str,
-                 q: float, matrices: dict[int, np.ndarray],
-                 block_dims: tuple[int, ...], shift_bound: int,
-                 spectra: dict[str, np.ndarray] | None = None,
-                 theta: float | None = None, shift_builder=None):
+                 q: float, build, block_dims: tuple[int, ...],
+                 shift_bound: int, spectra: dict[str, np.ndarray] | None = None,
+                 theta: float | None = None):
         self.presentation = presentation
         self.name = name
         self.q = q
@@ -69,18 +71,14 @@ class Representation:
         self.block_dims = tuple(block_dims)
         self.dim = sum(block_dims)
         self.shift_bound = shift_bound
-        self.matrices = {i: np.asarray(m, dtype=complex)
-                         for i, m in matrices.items()}
         self.spectra = dict(spectra or {})
-        self.shift_builder = shift_builder
-        self._shift_forms: dict[int, ShiftForm] = {}
-        for i, m in self.matrices.items():
-            if m.shape != (self.dim, self.dim):
-                raise RepresentationError(
-                    f"matrix for {presentation.generators[i]} has shape {m.shape}")
+        self._build = build
+        self._shift_forms: dict[int | None, ShiftForm] = {}
 
     def matrix(self, gen_name: str) -> np.ndarray:
-        return self.matrices[self.presentation.gen_index(gen_name)]
+        """Dense float64 matrix of one generator, formed on request."""
+        form = self.shift_form()
+        return _dense(form.ops[self.presentation.gen_index(gen_name)], self.dim)
 
     def good_indices(self, margin: int) -> np.ndarray:
         idx = []
@@ -94,18 +92,12 @@ class Representation:
                 f"at margin {margin}")
         return np.array(idx, dtype=int)
 
-    def compress(self, mat: np.ndarray, margin: int) -> np.ndarray:
-        g = self.good_indices(margin)
-        return mat[np.ix_(g, g)]
-
-    def shift_form(self, dps: int) -> "ShiftForm":
-        """The generators as weighted shifts at dps significant digits."""
-        if self.shift_builder is None:
-            raise RepresentationError(
-                f"{self.name} has no high-precision construction")
+    def shift_form(self, dps: int | None = None) -> "ShiftForm":
+        """The generators as weighted shifts: complex128 for dps=None,
+        mpmath numbers at dps significant digits otherwise."""
         if dps not in self._shift_forms:
-            with mpmath.workdps(dps):
-                q, ops = self.shift_builder(dps)
+            with _precision(dps):
+                q, ops = self._build(dps)
             self._shift_forms[dps] = ShiftForm(self, dps, q, ops)
         return self._shift_forms[dps]
 
@@ -113,21 +105,22 @@ class Representation:
 class ShiftForm:
     """A representation's generators as sums of weighted shifts.
 
-    ops[i] is a tuple of (displacement, weights) pairs: generator i sends
-    e_k to the sum of weights[k] * e_{k+displacement}.  weights is an
-    object array of mpmath numbers over the whole direct sum, zero
-    wherever the target index would leave the block of e_k, so products
-    truncate exactly as the float64 matrices do.  Words are composed
-    shift by shift and memoised, never as dense matrices.
+    ops[i] maps displacements to weights: generator i sends e_k to the
+    sum over d of ops[i][d][k] * e_{k+d}.  Weights span the whole direct
+    sum and are zero wherever the target index would leave the block of
+    e_k, so products truncate exactly as truncated matrices do.  They are
+    complex128 arrays for dps=None and object arrays of mpmath numbers at
+    dps digits otherwise.  Words are composed shift by shift and
+    memoised, never as dense matrices.
     """
 
-    def __init__(self, rep: Representation, dps: int, q, ops):
+    def __init__(self, rep: Representation, dps: int | None, q, ops):
         self.rep = rep
         self.dps = dps
         self.q = q
         self.ops = ops
         self._words: dict[tuple[int, ...], dict[int, np.ndarray]] = {
-            (): {0: np.full(rep.dim, mpmath.mpf(1), dtype=object)}}
+            (): {0: _filled(rep.dim, dps, 1)}}
 
     def _word(self, word: tuple[int, ...]) -> dict[int, np.ndarray]:
         # letters act right to left: the word is its first letter applied
@@ -143,12 +136,24 @@ class ShiftForm:
                 f"element over {x.presentation.name} fed to a representation "
                 f"of {self.rep.presentation.name}")
         out: dict[int, np.ndarray] = {}
-        with mpmath.workdps(self.dps):
+        with _precision(self.dps):
             for word, coeff in x.terms().items():
-                c = _mp_value(coeff, self.q)
+                c = (coeff.evaluate(self.q) if self.dps is None
+                     else _mp_value(coeff, self.q))
                 for d, w in self._word(word).items():
                     out[d] = out[d] + w * c if d in out else w * c
         return out
+
+
+def _precision(dps: int | None):
+    return nullcontext() if dps is None else mpmath.workdps(dps)
+
+
+def _filled(n: int, dps: int | None, value) -> np.ndarray:
+    """n weights equal to value, in the number type of the precision."""
+    if dps is None:
+        return np.full(n, value, dtype=complex)
+    return np.full(n, mpmath.mpf(value), dtype=object)
 
 
 def _mp_value(coeff: QLaurent, q):
@@ -157,33 +162,45 @@ def _mp_value(coeff: QLaurent, q):
                        for e, c in coeff.items())
 
 
-def _moved(w: np.ndarray, d: int, fill) -> np.ndarray:
-    """out[k] = w[k + d] where that index exists, fill elsewhere."""
+def _moved(w: np.ndarray, d: int) -> np.ndarray:
+    """out[k] = w[k + d] where that index exists, zero elsewhere."""
     n = len(w)
-    out = np.full(n, fill, dtype=w.dtype)
+    out = np.zeros_like(w)
     if abs(d) < n:
         out[max(0, -d):n - max(0, d)] = w[max(0, d):n - max(0, -d)]
     return out
 
 
-def _then(first: dict[int, np.ndarray], second) -> dict[int, np.ndarray]:
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a * b, complex products through four real ones.
+
+    numpy fuses the complex multiply, which leaves z * conj(z) with an
+    imaginary part of rounding size; separate real products keep it 0.
+    """
+    if a.dtype == object:
+        return a * b
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag
+                                                       + a.imag * b.real)
+
+
+def _then(first: dict[int, np.ndarray],
+          second: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Shifts of (second @ first): apply first, then second."""
     out: dict[int, np.ndarray] = {}
     for d1, w1 in first.items():
-        for d2, w2 in second:
-            w = w1 * _moved(w2, d1, mpmath.mpf(0))
+        for d2, w2 in second.items():
+            w = _mul(w1, _moved(w2, d1))
             d = d1 + d2
             out[d] = out[d] + w if d in out else w
     return out
 
 
-def _weighted_shift(dim: int, displacement: int, weight) -> np.ndarray:
-    """Matrix sending e_k to weight(k) * e_{k+displacement}, truncated."""
+def _dense(shifts: dict[int, np.ndarray], dim: int) -> np.ndarray:
+    """The dim x dim complex matrix of a sum of float64 weighted shifts."""
     m = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        j = k + displacement
-        if 0 <= j < dim:
-            m[j, k] = weight(k)
+    for d, w in shifts.items():
+        k = np.arange(max(0, -d), min(dim, dim - d))
+        m[k + d, k] = w[k]
     return m
 
 
@@ -201,9 +218,9 @@ def _adjoint(shift):
 def _base_shifts(name: str, q, theta, num) -> dict[str, tuple[int, object]]:
     """Displacement and weight function of every generator of a base rep.
 
-    One set of formulas serves both evaluators: float q with the math
-    functions in ``num`` gives the float64 matrices, an mpmath q with
-    mpmath itself as ``num`` gives the high-precision shifts.
+    One set of formulas serves both precisions: float q with the math
+    functions in ``num`` gives the float64 weights, an mpmath q with
+    mpmath itself as ``num`` gives the high-precision ones.
     """
     if name == "rho_theta":
         z = num.expj(theta)
@@ -222,21 +239,6 @@ def _base_shifts(name: str, q, theta, num) -> dict[str, tuple[int, object]]:
         return {"P": (0, lambda k: q ** (4 * k)), "T": t, "T*": _adjoint(t),
                 "R": r, "R*": _adjoint(r)}
     raise RepresentationError(f"unknown representation {name!r}")
-
-
-def _base_shift_builder(p: AlgebraPresentation, name: str, q: float,
-                        dim: int, theta: float):
-    """Shift-form builder of a base rep: exact q, formulas at mp precision."""
-    def build(dps):
-        qm = mpmath.mpf(q)
-        ops = {}
-        for g, (d, w) in _base_shifts(name, qm, theta, mpmath).items():
-            weights = np.full(dim, mpmath.mpf(0), dtype=object)
-            for k in range(max(0, -d), min(dim, dim - d)):
-                weights[k] = w(k)
-            ops[p.gen_index(g)] = ((d, weights),)
-        return qm, ops
-    return build
 
 
 def build_rep(name: str, q: float = 0.5, dim: int = 64,
@@ -268,48 +270,44 @@ def build_rep(name: str, q: float = 0.5, dim: int = 64,
                           "rho_rp2": ("rp2", 2),
                           "rho_theta": ("rp2", 0)}[name]
     p = ncalgebra.presentation(pname)
-    mats = {p.gen_index(g): _weighted_shift(dim, d, w)
-            for g, (d, w) in shifts.items()}
     diagonal = "b" if pname == "suq2_mod_b" else "P"
     spectra = {diagonal: np.array([shifts[diagonal][1](k) for k in range(dim)])}
-    return Representation(p, name, q, mats, (dim,), shift_bound,
+
+    def build(dps):
+        qx, num = (q, _FLOAT64) if dps is None else (mpmath.mpf(q), mpmath)
+        ops = {}
+        for g, (d, w) in _base_shifts(name, qx, theta, num).items():
+            weights = _filled(dim, dps, 0)
+            for k in range(max(0, -d), min(dim, dim - d)):
+                weights[k] = w(k)
+            ops[p.gen_index(g)] = {d: weights}
+        return qx, ops
+
+    return Representation(p, name, q, build, (dim,), shift_bound,
                           spectra=spectra,
-                          theta=theta if name == "rho_theta" else None,
-                          shift_builder=_base_shift_builder(p, name, q, dim,
-                                                            theta))
+                          theta=theta if name == "rho_theta" else None)
 
 
 def compose_rep(rep: Representation, gmap: GeneratorMap,
                 name: str | None = None) -> Representation:
     """Pull a representation of gmap's target back to its source.
 
-    Each source generator is sent to the evaluated matrix of its image
-    element.  The numeric parameter transforms by the map's exponent
-    scale, so source coefficients evaluate consistently.
+    Each source generator is sent to the operator of its image element.
+    The numeric parameter transforms by the map's exponent scale, so
+    source coefficients evaluate consistently.
     """
     if gmap.target is not rep.presentation:
         raise RepresentationError("map target does not match representation")
-    mats = {}
-    max_deg = 1
-    for i in range(len(gmap.source.generators)):
-        img = gmap.images[i]
-        mats[i] = evaluate(img, rep)
-        max_deg = max(max_deg, img.degree())
+    max_deg = max([1] + [img.degree() for img in gmap.images.values()])
 
     def build(dps):
         form = rep.shift_form(dps)
-        ops = {i: tuple(form.element(img).items())
-               for i, img in gmap.images.items()}
+        ops = {i: form.element(img) for i, img in gmap.images.items()}
         return form.q ** gmap.q_scale, ops
 
-    return Representation(
-        gmap.source,
-        name or f"{rep.name}.{gmap.name}",
-        rep.q ** gmap.q_scale,
-        mats,
-        rep.block_dims,
-        rep.shift_bound * max_deg,
-        shift_builder=build)
+    return Representation(gmap.source, name or f"{rep.name}.{gmap.name}",
+                          rep.q ** gmap.q_scale, build, rep.block_dims,
+                          rep.shift_bound * max_deg)
 
 
 def direct_sum(r1: Representation, r2: Representation) -> Representation:
@@ -318,50 +316,31 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
         raise RepresentationError("direct sum needs a common presentation")
     if r1.q != r2.q:
         raise RepresentationError("direct sum needs a common q")
-    n1, n2 = r1.dim, r2.dim
-    mats = {}
-    for i in set(r1.matrices) | set(r2.matrices):
-        m = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-        m[:n1, :n1] = r1.matrices[i]
-        m[n1:, n1:] = r2.matrices[i]
-        mats[i] = m
     spectra = {}
     for g in set(r1.spectra) & set(r2.spectra):
         spectra[g] = np.concatenate([r1.spectra[g], r2.spectra[g]])
 
     def build(dps):
         f1, f2 = r1.shift_form(dps), r2.shift_form(dps)
-        zero1 = np.full(n1, mpmath.mpf(0), dtype=object)
-        zero2 = np.full(n2, mpmath.mpf(0), dtype=object)
+        zero1, zero2 = _filled(r1.dim, dps, 0), _filled(r2.dim, dps, 0)
         ops = {}
-        for i in mats:
-            first, second = dict(f1.ops[i]), dict(f2.ops[i])
-            ops[i] = tuple(
-                (d, np.concatenate([first.get(d, zero1), second.get(d, zero2)]))
-                for d in sorted(set(first) | set(second)))
+        for i, first in f1.ops.items():
+            second = f2.ops[i]
+            ops[i] = {d: np.concatenate([first.get(d, zero1),
+                                         second.get(d, zero2)])
+                      for d in sorted(set(first) | set(second))}
         return f1.q, ops
 
     return Representation(
-        r1.presentation, f"{r1.name}+{r2.name}", r1.q, mats,
+        r1.presentation, f"{r1.name}+{r2.name}", r1.q, build,
         r1.block_dims + r2.block_dims,
         max(r1.shift_bound, r2.shift_bound), spectra=spectra,
-        theta=r1.theta,
-        shift_builder=build)
+        theta=r1.theta)
 
 
 def evaluate(x: Element, rep: Representation) -> np.ndarray:
-    """Linear-multiplicative evaluation of an element; unit word -> identity."""
-    if x.presentation is not rep.presentation:
-        raise RepresentationError(
-            f"element over {x.presentation.name} fed to a representation "
-            f"of {rep.presentation.name}")
-    total = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for word, coeff in x.terms().items():
-        m = np.eye(rep.dim, dtype=complex)
-        for letter in word:
-            m = m @ rep.matrices[letter]
-        total += coeff.evaluate(rep.q) * m
-    return total
+    """Dense float64 matrix of an element; unit word -> identity."""
+    return _dense(rep.shift_form().element(x), rep.dim)
 
 
 @dataclass(frozen=True)
@@ -378,59 +357,58 @@ class ResidualReport:
         return self.max_residual() <= tol
 
 
+def _compressed_max(form: ShiftForm, fx: dict[int, np.ndarray],
+                    fy: dict[int, np.ndarray], margin: int) -> float:
+    """Max |entry| of the operator fx - fy on the compressed block."""
+    good = np.zeros(form.rep.dim, dtype=bool)
+    good[form.rep.good_indices(margin)] = True
+    worst = 0.0
+    with _precision(form.dps):
+        for d in set(fx) | set(fy):
+            # entry (k + d, k) counts when both k and k + d are in the block
+            diff = (fx.get(d, 0) - fy.get(d, 0))[good & _moved(good, d)]
+            worst = max(worst, float(np.max(np.abs(diff), initial=0.0)))
+    return worst
+
+
 def relation_residuals(rep: Representation) -> ResidualReport:
-    """Max |entry| of evaluate(lhs) - evaluate(rhs) per rule, compressed.
+    """Max |entry| of rho(lhs) - rho(rhs) per rule, compressed, in float64.
 
     The compression margin is the shift bound: on that block the
     truncated products agree with the infinite model entry for entry,
     so the reported numbers are pure roundoff plus any genuine defect.
     """
     p = rep.presentation
-    g = rep.good_indices(rep.shift_bound)
+    form = rep.shift_form()
     entries = []
     for rule in p.rules:
-        lhs = Element(p, {rule.left: QLaurent.one()})
-        rhs = Element(p, dict(rule.right))
-        diff = evaluate(lhs, rep) - evaluate(rhs, rep)
-        block = diff[np.ix_(g, g)]
-        entries.append((rule.label, float(np.max(np.abs(block)))))
+        lhs = form.element(Element(p, {rule.left: QLaurent.one()}))
+        rhs = form.element(Element(p, dict(rule.right)))
+        entries.append((rule.label,
+                        _compressed_max(form, lhs, rhs, rep.shift_bound)))
     return ResidualReport(rep.name, rep.dim, rep.shift_bound, tuple(entries))
 
 
 def element_mismatch(x: Element, y: Element, rep: Representation,
                      dps: int | None = None) -> float:
-    """Compressed max |evaluate(x) - evaluate(y)|, margin scaled by degree.
+    """Compressed max |rho(x) - rho(y)|, margin scaled by degree.
 
-    dps=None evaluates in float64 with dense matrices.  A digit count
-    evaluates both elements as weighted shifts at that mpmath precision,
-    from generators rebuilt out of exact q, so the only error left is
-    rounding at dps digits.
+    dps=None evaluates in float64.  A digit count evaluates both elements
+    at that mpmath precision, from generators rebuilt out of exact q, so
+    the only error left is rounding at dps digits.
     """
     margin = rep.shift_bound * max(x.degree(), y.degree(), 1)
-    g = rep.good_indices(margin)
-    if dps is None:
-        diff = (evaluate(x, rep) - evaluate(y, rep))[np.ix_(g, g)]
-        return float(np.max(np.abs(diff)))
     form = rep.shift_form(dps)
-    fx, fy = form.element(x), form.element(y)
-    good = np.zeros(rep.dim, dtype=bool)
-    good[g] = True
-    worst = 0.0
-    with mpmath.workdps(dps):
-        for d in set(fx) | set(fy):
-            # entry (k + d, k) counts when both k and k + d are in the block
-            diff = (fx.get(d, 0) - fy.get(d, 0))[good & _moved(good, d, False)]
-            worst = max([worst] + [float(abs(v)) for v in diff])
-    return worst
+    return _compressed_max(form, form.element(x), form.element(y), margin)
 
 
 def adjoint_mismatch(x: Element, rep: Representation) -> float:
-    """Compressed deviation of evaluate(x*) from evaluate(x) conjugate-transposed."""
-    margin = rep.shift_bound * max(x.degree(), 1)
-    g = rep.good_indices(margin)
-    diff = (evaluate(x.star(), rep)
-            - evaluate(x, rep).conj().T)[np.ix_(g, g)]
-    return float(np.max(np.abs(diff)))
+    """Compressed deviation of rho(x*) from rho(x) conjugate-transposed."""
+    form = rep.shift_form()
+    # entry (k + d, k) moves to (k, k + d): displacement -d, read at k + d
+    adjoint = {-d: _moved(w, -d).conj() for d, w in form.element(x).items()}
+    return _compressed_max(form, form.element(x.star()), adjoint,
+                           rep.shift_bound * max(x.degree(), 1))
 
 
 @dataclass(frozen=True)
@@ -442,16 +420,16 @@ class SpectrumReport:
 
 
 def spectrum_check(rep: Representation, gen_name: str) -> SpectrumReport:
-    """Compare a diagonal generator matrix against its expected spectrum."""
+    """Compare a diagonal generator against its expected spectrum."""
     if gen_name not in rep.spectra:
         raise RepresentationError(
             f"no diagonal expectation for {gen_name!r} in {rep.name}")
-    m = rep.matrix(gen_name)
-    off = m - np.diag(np.diag(m))
-    if np.any(off != 0):
+    shifts = rep.shift_form().ops[rep.presentation.gen_index(gen_name)]
+    if any(np.any(w != 0) for d, w in shifts.items() if d != 0):
         raise RepresentationError(
             f"matrix of {gen_name!r} in {rep.name} is not diagonal")
-    dev = np.max(np.abs(np.diag(m) - rep.spectra[gen_name]))
+    diagonal = shifts.get(0, _filled(rep.dim, None, 0))
+    dev = np.max(np.abs(diagonal - rep.spectra[gen_name]))
     return SpectrumReport(rep.name, gen_name, True, float(dev))
 
 

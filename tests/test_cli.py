@@ -193,6 +193,13 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert rc == 0 and payload["seed"] == 4
 
 
+def test_bad_seed_env_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("QCSTAR_SEED", "abc")
+    rc, out, err = run(capsys, "ktheory", "--builtin", "G1")
+    assert rc == 2 and out == ""
+    assert err == "qcstar: QCSTAR_SEED must be an integer, got 'abc'\n"
+
+
 def test_byte_identical_output(capsys):
     argv = ("rep", "independence", "--kmax", "1", "--lmax", "1",
             "--nmax", "30", "--trials", "5")

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +142,45 @@ def test_evaluate_words_and_coefficients():
     assert np.allclose(evaluate(p.parse("q^2 K"), rep), Q ** 2 * k)
     assert np.allclose(evaluate(p.one(), rep), np.eye(12))
     assert np.allclose(evaluate(p.zero(), rep), 0)
+
+
+def _dense_product_evaluate(x, rep):
+    """Reference evaluator: one dense matrix product per letter, summed
+    with the evaluated coefficients."""
+    total = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for word, coeff in x.terms().items():
+        m = np.eye(rep.dim, dtype=complex)
+        for letter in word:
+            m = m @ rep.matrix(rep.presentation.generators[letter])
+        total += coeff.evaluate(rep.q) * m
+    return total
+
+
+def test_evaluate_matches_dense_matrix_products():
+    # a base rep, a direct sum, and a pullback of it with q -> q^4
+    pi_pm = direct_sum(build_rep("pi_plus", q=Q, dim=20),
+                       build_rep("pi_minus", q=Q, dim=20))
+    disc = compose_rep(pi_pm, builtin_morphism("disc-inclusion"))
+    rng = random.Random(17)
+    for rep in (build_rep("rho_rp2", q=Q, dim=40), pi_pm, disc):
+        for _ in range(25):
+            x = random_element(rep.presentation, rng, max_terms=4,
+                               max_degree=5)
+            want = _dense_product_evaluate(x, rep)
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(evaluate(x, rep) - want)) <= 1e-13 * scale
+
+
+def test_residuals_never_form_a_dense_matrix():
+    # one dense 2048 x 2048 complex matrix takes 64 MiB
+    tracemalloc.start()
+    try:
+        report = relation_residuals(build_rep("rho_rp2", q=Q, dim=2048))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.max_residual() <= 1e-12
+    assert peak < 2048 * 2048 * 16
 
 
 def test_evaluate_rejects_foreign_elements():
