@@ -16,7 +16,7 @@ name.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .ktheory import IntegerMatrix
@@ -66,10 +66,6 @@ class Graph:
 
     def out_edges(self, vertex: str) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.source == vertex)
-
-    def edge_count(self, source: str, range_: str) -> int:
-        return sum(1 for e in self.edges
-                   if e.source == source and e.range == range_)
 
 
 @dataclass(frozen=True)
@@ -184,11 +180,10 @@ def build_ag(g: Graph) -> IntegerMatrix:
     entry (w, v) = #(edges v -> w) - [w == v].
     """
     cols = emitters(g).names
-    entries = []
-    for w in g.vertices:
-        for v in cols:
-            entries.append(g.edge_count(v, w) - (1 if w == v else 0))
-    return IntegerMatrix(len(g.vertices), len(cols), tuple(entries))
+    counts = Counter((e.source, e.range) for e in g.edges)
+    return IntegerMatrix(len(g.vertices), len(cols),
+                         tuple(counts[v, w] - (w == v)
+                               for w in g.vertices for v in cols))
 
 
 def is_hereditary(g: Graph, subset) -> bool:
@@ -208,30 +203,104 @@ def is_saturated(g: Graph, subset) -> bool:
 
 
 def hereditary_saturated_sets(g: Graph) -> tuple[VertexSet, ...]:
-    """All hereditary saturated vertex sets, by brute force.
+    """All hereditary saturated vertex sets, enumerated by closure.
+
+    The family is closed under intersection, so every vertex set S has a
+    closure: the smallest member containing S.  Each member H is reached
+    from the empty set (itself a member) by adding one vertex of H at a
+    time and closing again.  So closing H + {v} for every set H found and
+    every v outside it visits the whole family, in O(#sets * V * (V + E)).
 
     Ordered by size then by vertex order, so the output is deterministic.
     Always contains the empty set and the full vertex set.
     """
-    out = []
-    n = len(g.vertices)
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            names = tuple(g.vertices[i] for i in combo)
-            if is_hereditary(g, names) and is_saturated(g, names):
-                out.append(VertexSet(g, names))
-    return tuple(out)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    succ = [set() for _ in g.vertices]   # distinct ranges of each vertex
+    pred = [set() for _ in g.vertices]   # distinct sources into each vertex
+    for e in g.edges:
+        succ[index[e.source]].add(index[e.range])
+        pred[index[e.range]].add(index[e.source])
+
+    def closure(seed) -> frozenset[int]:
+        # smallest hereditary saturated superset of seed, in O(V + E):
+        # a vertex pulls in its ranges, and an emitter joins once its
+        # last range outside the set has joined
+        members = set()
+        outside = [len(r) for r in succ]
+        todo = list(seed)
+        while todo:
+            v = todo.pop()
+            if v in members:
+                continue
+            members.add(v)
+            todo.extend(succ[v])
+            for u in pred[v]:
+                outside[u] -= 1
+                if not outside[u]:
+                    todo.append(u)
+        return frozenset(members)
+
+    found = {frozenset()}
+    todo = list(found)
+    while todo:
+        h = todo.pop()
+        for v in range(len(g.vertices)):
+            if v not in h:
+                c = closure(h | {v})
+                if c not in found:
+                    found.add(c)
+                    todo.append(c)
+    return tuple(VertexSet(g, tuple(g.vertices[i] for i in members))
+                 for members in sorted((sorted(h) for h in found),
+                                       key=lambda m: (len(m), m)))
 
 
 def lattices_isomorphic(sets_a, sets_b) -> bool:
-    """Poset isomorphism of two inclusion-ordered families, brute force."""
+    """Poset isomorphism of two inclusion-ordered families.
+
+    Each element's signature is (size of its down-set, size of its
+    up-set); families whose signature multisets differ are rejected at
+    once.  Otherwise a depth-first search extends a partial bijection one
+    element of sets_a at a time, smallest first, pairing it only with an
+    unused element of sets_b of equal signature whose inclusions, both
+    ways, agree with every element already placed.
+    """
     n = len(sets_a)
     if n != len(sets_b):
         return False
-    rel_a = [[set(x.names) <= set(y.names) for y in sets_a] for x in sets_a]
-    rel_b = [[set(x.names) <= set(y.names) for y in sets_b] for x in sets_b]
-    for perm in itertools.permutations(range(n)):
-        if all(rel_a[i][j] == rel_b[perm[i]][perm[j]]
-               for i in range(n) for j in range(n)):
-            return True
-    return False
+    rel_a = _inclusions(sorted(sets_a, key=len))
+    rel_b = _inclusions(sets_b)
+    sig_a, sig_b = _signatures(rel_a), _signatures(rel_b)
+    if sorted(sig_a) != sorted(sig_b):
+        return False
+    image: list[int] = []   # image[i] pairs element i of a with one of b
+
+    def fits(j):
+        i = len(image)
+        return (sig_b[j] == sig_a[i] and j not in image
+                and all(rel_a[i][p] == rel_b[j][image[p]]
+                        and rel_a[p][i] == rel_b[image[p]][j]
+                        for p in range(i)))
+
+    options = [iter(range(n))]   # untried candidates for each placed level
+    while len(image) < n:
+        j = next((j for j in options[-1] if fits(j)), None)
+        if j is not None:
+            image.append(j)
+            options.append(iter(range(n)))
+        elif image:
+            options.pop()
+            image.pop()
+        else:
+            return False
+    return True
+
+
+def _inclusions(sets) -> list[list[bool]]:
+    members = [set(s.names) for s in sets]
+    return [[x <= y for y in members] for x in members]
+
+
+def _signatures(rel) -> list[tuple[int, int]]:
+    """(down-set size, up-set size) of each element of a family."""
+    return [(sum(row[i] for row in rel), sum(rel[i])) for i in range(len(rel))]

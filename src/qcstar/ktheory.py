@@ -285,25 +285,28 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
                      IntegerMatrix.from_rows(v) if cols else IntegerMatrix(0, 0, ()))
 
 
+def _cokernel_and_kernel(m: IntegerMatrix) -> tuple[AbelianGroup, AbelianGroup]:
+    """Both groups read off one Smith normal form of m."""
+    factors = smith_normal_form(m).invariant_factors()
+    return (AbelianGroup(m.rows - len(factors),
+                         tuple(d for d in factors if d > 1)),
+            AbelianGroup(m.cols - len(factors)))
+
+
 def cokernel(m: IntegerMatrix) -> AbelianGroup:
     """Z^rows / column span of m, in invariant-factor form."""
-    snf = smith_normal_form(m)
-    factors = snf.invariant_factors()
-    return AbelianGroup(m.rows - len(factors),
-                        tuple(d for d in factors if d > 1))
+    return _cokernel_and_kernel(m)[0]
 
 
 def kernel(m: IntegerMatrix) -> AbelianGroup:
     """Kernel of m as a map Z^cols -> Z^rows; always free."""
-    snf = smith_normal_form(m)
-    return AbelianGroup(m.cols - snf.rank())
+    return _cokernel_and_kernel(m)[1]
 
 
 def k_groups(g) -> tuple[AbelianGroup, AbelianGroup]:
     """K0 and K1 of the graph C*-algebra: cokernel and kernel of A_G."""
     from . import graphs
-    a = graphs.build_ag(g)
-    return cokernel(a), kernel(a)
+    return _cokernel_and_kernel(graphs.build_ag(g))
 
 
 # -- independent oracles -------------------------------------------------------

@@ -466,6 +466,16 @@ def _format_term(coeff: QLaurent, word_text: str) -> tuple[str, bool]:
 
 # -- expression parser -------------------------------------------------------
 
+# Caps on "^" in parsed expressions.  A power is multiplied out word by
+# word in the free algebra, before any normal form, at a cost that grows
+# with the square of its word length and with its number of words
+# (terms of the base to the power).  Beyond these caps input is refused
+# with ExpressionError instead of running for hours; a scalar base
+# counts as one letter, so its exponent is capped too.
+MAX_POWER_LETTERS = 1024
+MAX_POWER_TERMS = 100_000
+
+
 class _ExprParser:
     def __init__(self, presentation: AlgebraPresentation, text: str):
         self.p = presentation
@@ -523,6 +533,18 @@ class _ExprParser:
             exp = self._signed_int()
             if exp < 0:
                 raise ExpressionError("negative powers are only allowed on q")
+            # word length first: it bounds exp, so the term count below
+            # stays a small integer
+            letters = exp * max(base.degree(), 1)
+            if letters > MAX_POWER_LETTERS:
+                raise ExpressionError(
+                    f"power too long: {letters} letters, "
+                    f"the cap is {MAX_POWER_LETTERS}")
+            terms = len(base.terms()) ** exp
+            if terms > MAX_POWER_TERMS:
+                raise ExpressionError(
+                    f"power too large: up to {terms} terms, "
+                    f"the cap is {MAX_POWER_TERMS}")
             out = self.p.one()
             for _ in range(exp):
                 out = out * base

@@ -91,6 +91,18 @@ def test_algebra_nf_bad_expression(capsys):
     assert rc == 2 and "qcstar:" in err
 
 
+@pytest.mark.parametrize("expr,reason", [
+    ("K^1000000000", "letters"),
+    ("(K+L+L*)^30", "terms"),
+])
+def test_algebra_nf_oversized_power_exits_two(capsys, expr, reason):
+    rc, out, err = run(capsys, "algebra", "nf",
+                       "--algebra", "sphere", "--expr", expr)
+    assert rc == 2 and out == ""
+    assert err.startswith("qcstar: power too") and err.count("\n") == 1
+    assert reason in err
+
+
 def test_algebra_nf_s_rejected_off_sphere(capsys):
     rc, _, err = run(capsys, "algebra", "nf",
                      "--algebra", "disc", "--expr", "x", "--s", "1/2")

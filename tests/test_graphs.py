@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from qcstar.graphs import (
@@ -34,8 +37,9 @@ def test_parse_basic():
     assert [e.name for e in g.edges] == ["e", "f1", "f2"]
     assert g.edges[0] == Edge("e", "v", "v")
     assert g.out_edges("w1") == ()
-    assert g.edge_count("v", "w1") == 1
-    assert g.edge_count("w1", "v") == 0
+    m = build_ag(g)
+    assert m.entry(g.vertex_index("w1"), 0) == 1   # one edge v -> w1
+    assert m.cols == 1   # w1 emits nothing, so it has no column
 
 
 def test_parse_blank_lines_and_comments():
@@ -83,7 +87,7 @@ def test_builtin_shapes():
     assert len(g2.edges) == 2
     g3 = builtin_graph("G3")
     assert g3.vertices == ("v", "w")
-    assert g3.edge_count("v", "w") == 2
+    assert build_ag(g3).entry(g3.vertex_index("w"), 0) == 2
 
 
 def test_vertex_set_ordering_and_containment():
@@ -170,3 +174,158 @@ def test_graph_validation_rejects_bad_construction():
         Graph(("a", "a"), ())
     with pytest.raises(GraphError):
         Graph(("a",), (Edge("e", "a", "missing"),))
+
+
+# -- brute-force references ----------------------------------------------------
+
+def reference_hereditary_saturated_sets(g):
+    """Every one of the 2^n vertex subsets tested by definition."""
+    out = []
+    n = len(g.vertices)
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
+            names = tuple(g.vertices[i] for i in combo)
+            if is_hereditary(g, names) and is_saturated(g, names):
+                out.append(VertexSet(g, names))
+    return tuple(out)
+
+
+def reference_lattices_isomorphic(sets_a, sets_b):
+    """Every one of the n! bijections tried."""
+    n = len(sets_a)
+    if n != len(sets_b):
+        return False
+    rel_a = [[set(x.names) <= set(y.names) for y in sets_a] for x in sets_a]
+    rel_b = [[set(x.names) <= set(y.names) for y in sets_b] for x in sets_b]
+    return any(all(rel_a[i][j] == rel_b[perm[i]][perm[j]]
+                   for i in range(n) for j in range(n))
+               for perm in itertools.permutations(range(n)))
+
+
+def random_multigraph(rng, n):
+    """Vertex names out of index order; about one sink in four, loops and
+    parallel edges."""
+    names = [f"x{i}" for i in rng.sample(range(n), n)]
+    edges = []
+    for v in names:
+        if rng.random() < 0.25:
+            continue
+        for _ in range(rng.randint(1, 4)):
+            edges.append(Edge(f"e{len(edges)}", v, rng.choice(names)))
+    return Graph(tuple(names), tuple(edges))
+
+
+def odd_sphere(n, tag="v"):
+    """L_{2n-1}: n vertices, a loop at each, one edge i -> j for i < j."""
+    vs = tuple(f"{tag}{i}" for i in range(n))
+    edges = [Edge(f"{tag}l{i}", v, v) for i, v in enumerate(vs)]
+    edges += [Edge(f"{tag}e{i}_{j}", vs[i], vs[j])
+              for i in range(n) for j in range(i + 1, n)]
+    return Graph(vs, tuple(edges))
+
+
+def family(g, *members):
+    return tuple(VertexSet(g, tuple(m)) for m in members)
+
+
+# -- closure enumeration and backtracking against the references -------------
+
+def test_closure_enumeration_matches_subset_reference():
+    rng = random.Random(2002)
+    shapes = set()
+    for _ in range(240):
+        g = random_multigraph(rng, rng.randint(1, 10))
+        got = hereditary_saturated_sets(g)
+        assert [s.names for s in got] == \
+            [s.names for s in reference_hereditary_saturated_sets(g)]
+        pairs = [(e.source, e.range) for e in g.edges]
+        shapes.add((len(emitters(g)) < len(g.vertices),
+                    any(a == b for a, b in pairs),
+                    len(set(pairs)) < len(pairs)))
+    # sinks, loops and parallel edges all occurred, together and apart
+    assert len(shapes) >= 6
+
+
+def test_backtracking_matches_permutation_reference():
+    rng = random.Random(232)
+    families = []
+    while len(families) < 60:
+        sets = hereditary_saturated_sets(random_multigraph(rng, rng.randint(2, 7)))
+        if 3 <= len(sets) <= 7:
+            families.append(sets)
+    for a, b in itertools.combinations(families[:30], 2):
+        assert lattices_isomorphic(a, b) == reference_lattices_isomorphic(a, b)
+    for a in families:
+        shuffled = rng.sample(a, len(a))
+        assert lattices_isomorphic(a, shuffled)
+        assert lattices_isomorphic(shuffled, a)
+
+
+def test_equal_signatures_do_not_decide_isomorphism():
+    # two 8-element lattices whose (down-set, up-set) sizes agree element
+    # for element, but which are not isomorphic: the search must decide
+    g = Graph(tuple("abcde"), ())
+    a = family(g, "", "d", "cd", "e", "ae", "be", "ade", "abcde")
+    b = family(g, "", "b", "ab", "c", "abc", "cd", "ce", "abcde")
+
+    def signatures(sets):
+        return sorted((sum(x <= s for x in sets), sum(s <= x for x in sets))
+                      for s in sets)
+    assert signatures(a) == signatures(b)
+    assert not reference_lattices_isomorphic(a, b)
+    assert not lattices_isomorphic(a, b)
+    assert not lattices_isomorphic(b, a)
+    assert lattices_isomorphic(b, tuple(reversed(b)))
+
+
+def test_isomorphism_found_after_a_dead_end():
+    # a and c have equal signatures, but only one way of pairing them
+    # extends to the whole lattice: a matcher that never backtracks fails
+    g = Graph(tuple("abcde"), ())
+    a = family(g, "", "a", "c", "ac", "cd", "be", "abe", "abcde")
+    b = family(g, "ac", "c", "a", "abe", "", "cd", "be", "abcde")
+    assert reference_lattices_isomorphic(a, b)
+    assert lattices_isomorphic(a, b)
+    assert lattices_isomorphic(b, a)
+
+
+def test_lattices_isomorphic_small_cases():
+    g = builtin_graph("G2")
+    assert lattices_isomorphic((), ())
+    assert not lattices_isomorphic((), family(g, ""))
+    assert lattices_isomorphic(family(g, "w", "v"), family(g, "v", "w"))
+    assert not lattices_isomorphic(family(g, "", "w"), family(g, "v", "w"))
+
+
+# -- scale -------------------------------------------------------------------
+
+def test_odd_sphere_l59_chain():
+    g = odd_sphere(30)
+    sets = hereditary_saturated_sets(g)
+    # the chain {v_k, ..., v_29}, k = 30 down to 0
+    assert [s.names for s in sets] == [g.vertices[k:] for k in range(30, -1, -1)]
+    assert lattices_isomorphic(sets, tuple(reversed(sets)))
+
+
+def test_loop_emitting_to_twelve_sinks():
+    sinks = tuple(f"w{i}" for i in range(12))
+    g = Graph(("v",) + sinks,
+              (Edge("e", "v", "v"),)
+              + tuple(Edge(f"f{i}", "v", w) for i, w in enumerate(sinks)))
+    sets = hereditary_saturated_sets(g)
+    # every set of sinks, then everything
+    assert len(sets) == 2 ** 12 + 1
+    assert sets[-1].names == g.vertices
+    assert all("v" not in s for s in sets[:-1])
+
+
+def test_nine_element_chain_is_not_the_three_by_three_grid():
+    chain = hereditary_saturated_sets(odd_sphere(8))
+    grid_graph = odd_sphere(2, "a")
+    grid_graph = Graph(grid_graph.vertices + odd_sphere(2, "b").vertices,
+                       grid_graph.edges + odd_sphere(2, "b").edges)
+    grid = hereditary_saturated_sets(grid_graph)
+    assert len(chain) == len(grid) == 9
+    assert not lattices_isomorphic(chain, grid)
+    assert not lattices_isomorphic(grid, chain)
+    assert lattices_isomorphic(grid, tuple(reversed(grid)))

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from qcstar.graphs import builtin_graph, parse_graph
+from qcstar import ktheory
+from qcstar.graphs import Edge, Graph, builtin_graph, parse_graph
 from qcstar.ktheory import (
     AbelianGroup,
     IntegerMatrix,
@@ -183,3 +184,26 @@ def test_k_groups_single_loop():
     k0, k1 = k_groups(g)
     assert k0 == AbelianGroup(1, ())
     assert k1 == AbelianGroup(1, ())
+
+
+def test_k_groups_reads_one_smith_form(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return smith_normal_form(m)
+    monkeypatch.setattr(ktheory, "smith_normal_form", counted)
+    assert k_groups(builtin_graph("G3")) == (AbelianGroup(1, (2,)),
+                                             AbelianGroup(0, ()))
+    assert len(calls) == 1
+
+
+def test_k_groups_odd_sphere_l59():
+    # L_{2n-1} at n = 30: a loop at each vertex, one edge i -> j for i < j;
+    # C(L_{2n-1}) is the odd sphere S^{2n-1}_q, so K0 = K1 = Z
+    vs = tuple(f"v{i}" for i in range(30))
+    edges = [Edge(f"l{i}", v, v) for i, v in enumerate(vs)]
+    edges += [Edge(f"e{i}_{j}", vs[i], vs[j])
+              for i in range(30) for j in range(i + 1, 30)]
+    assert k_groups(Graph(vs, tuple(edges))) == (AbelianGroup(1, ()),
+                                                 AbelianGroup(1, ()))

@@ -6,6 +6,8 @@ import pytest
 
 from qcstar.coefficients import QLaurent
 from qcstar.ncalgebra import (
+    MAX_POWER_LETTERS,
+    MAX_POWER_TERMS,
     AlgebraPresentation,
     ExpressionError,
     PresentationError,
@@ -112,6 +114,32 @@ def test_parse_parens_distribute():
     assert p.parse("(K + L)^2") == p.parse("K^2 + K L + L K + L^2")
     assert p.parse("2(K - L)(K + L)") == \
         p.parse("2 K^2 + 2 K L - 2 L K - 2 L^2")
+
+
+def test_parse_refuses_power_past_word_length_cap():
+    p = presentation("sphere")
+    with pytest.raises(ExpressionError, match="letters"):
+        p.parse("K^1000000000")
+    with pytest.raises(ExpressionError, match="letters"):
+        p.parse(f"(K L)^{MAX_POWER_LETTERS // 2 + 1}")
+    # a scalar base counts as one letter, so its exponent is capped too
+    with pytest.raises(ExpressionError, match="letters"):
+        p.parse(f"2^{MAX_POWER_LETTERS + 1}")
+    assert p.parse(f"K^{MAX_POWER_LETTERS}").degree() == MAX_POWER_LETTERS
+
+
+def test_parse_refuses_power_past_term_count_cap():
+    p = presentation("sphere")
+    assert 3 ** 30 > MAX_POWER_TERMS
+    with pytest.raises(ExpressionError, match="terms"):
+        p.parse("(K+L+L*)^30")
+
+
+def test_parse_ordinary_power_still_expands():
+    p = presentation("sphere")
+    x = p.parse("(K+L+L*)^6")
+    assert len(x.terms()) == 3 ** 6 <= MAX_POWER_TERMS
+    assert x == p.parse("(K+L+L*)^3 (K+L+L*)^3")
 
 
 @pytest.mark.parametrize("bad", [
