@@ -184,6 +184,8 @@ def _soundness_rep_for(cfg: RunConfig, pname: str):
 # Criterion 7 decides on a high-precision bridge: basis coefficients of
 # normal forms reach q^-36 ~ 7e10 at q=1/2, so float64 evaluation cancels
 # away ten of its sixteen digits; the float64 figure is reported beside it.
+# The bridge is evaluated in fixed point, good to SOUNDNESS_DIGITS digits
+# (representations.ShiftForm).
 SOUNDNESS_DIGITS = 50
 
 

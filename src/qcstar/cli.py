@@ -195,31 +195,21 @@ def _cmd_algebra(args) -> int:
     return 0
 
 
-REP_ALIASES = {
-    "rho": "rho_rp2",
-    "rho_rp2": "rho_rp2",
-    "rho_plus": "rho_plus",
-    "rho_minus": "rho_minus",
-    "pi_plus": "pi_plus",
-    "pi_minus": "pi_minus",
-    "pi_pm": "pi_pm",
-    "rho_pm": "rho_pm",
-    "rho_theta": "rho_theta",
-}
+REP_ALIASES = {"rho": "rho_rp2"}
+REP_SUMS = {"pi_pm": ("pi_plus", "pi_minus"),
+            "rho_pm": ("rho_plus", "rho_minus")}
 
 
 def _build_named_rep(name: str, q: float, dim: int, theta: float):
-    canonical = REP_ALIASES.get(name)
-    if canonical is None:
+    canonical = REP_ALIASES.get(name, name)
+    if canonical in REP_SUMS:
+        first, second = REP_SUMS[canonical]
+        return reps.direct_sum(reps.build_rep(first, q, dim),
+                               reps.build_rep(second, q, dim))
+    if canonical not in reps.REP_NAMES:
         raise reps.RepresentationError(
             f"unknown representation {name!r}; choose from "
-            f"{sorted(set(REP_ALIASES))}")
-    if canonical == "pi_pm":
-        return reps.direct_sum(reps.build_rep("pi_plus", q, dim),
-                               reps.build_rep("pi_minus", q, dim))
-    if canonical == "rho_pm":
-        return reps.direct_sum(reps.build_rep("rho_plus", q, dim),
-                               reps.build_rep("rho_minus", q, dim))
+            f"{sorted([*REP_ALIASES, *REP_SUMS, *reps.REP_NAMES])}")
     return reps.build_rep(canonical, q, dim, theta=theta)
 
 
@@ -309,7 +299,9 @@ def _cmd_reproduce(args) -> int:
         "criteria": [
             {"id": r.ident, "title": r.title, "passed": r.passed,
              "expected_failure": r.ident in acceptance.EXPECTED_FAILURES,
-             "detail": r.detail}
+             "detail": r.detail,
+             **({"seconds": r.seconds, "budget_seconds": r.budget_seconds}
+                if args.stats else {})}
             for r in results
         ],
         "all_passed": all_passed,
@@ -412,6 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--dim", type=int, default=64)
     pp.add_argument("--nmax", type=int, default=40)
     pp.add_argument("--seed", type=int, default=seed_default)
+    pp.add_argument("--stats", action="store_true",
+                    help="add each criterion's seconds and budget_seconds "
+                         "to the JSON output")
     add_format(pp, default="plain")
     return top
 

@@ -1,9 +1,11 @@
-"""Exact scalar arithmetic for the algebra engine.
+"""Exact arithmetic: coefficients of the algebra engine, one elimination.
 
 Every coefficient is a Laurent polynomial in the deformation parameter q
 with rational coefficients, stored sparsely by exponent.  All arithmetic
 is exact; floats only appear when a coefficient is evaluated at a numeric
-value of q.
+value of q.  gauss_jordan is the one exact linear elimination of the
+package: rational ranks in ktheory and coefficient recovery in
+representations both use it.
 """
 
 from __future__ import annotations
@@ -170,3 +172,31 @@ def _coerce(value):
 
 
 _F0 = Fraction(0)
+
+
+def gauss_jordan(rows, width: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals.
+
+    rows are equal-length sequences of ints or Fractions; pivots are
+    sought in the first width columns only, so columns past width are
+    carried along as right-hand sides.  Returns the reduced rows and the
+    pivot columns, whose count is the rank of the first width columns.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][col]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots

@@ -14,9 +14,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
+
+from .coefficients import gauss_jordan
 
 
 @dataclass(frozen=True)
@@ -313,24 +314,7 @@ def k_groups(g) -> tuple[AbelianGroup, AbelianGroup]:
 
 def rational_rank(m: IntegerMatrix) -> int:
     """Rank over Q by plain fraction Gaussian elimination."""
-    a = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
-    rank = 0
-    col = 0
-    while rank < m.rows and col < m.cols:
-        pivot_row = next((i for i in range(rank, m.rows) if a[i][col]), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m.rows):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(gauss_jordan([m.row(i) for i in range(m.rows)], m.cols)[1])
 
 
 def determinant_divisor(m: IntegerMatrix, r: int) -> int:

@@ -12,9 +12,10 @@ infinite model, and residuals are pure floating-point roundoff.
 Generators are stored as what they are, (displacement, weights) pairs
 (ShiftForm), and a word is applied shift by shift in O(N) per letter.
 One store serves two precisions: dps=None holds complex128 weights, a
-digit count holds mpmath numbers rebuilt from exact q at that precision,
-for checks whose cancellation exceeds float64's digits.  A dense matrix
-is formed only on request (evaluate, Representation.matrix).
+digit count holds fixed-point integers on a grid of 2^-B with B a little
+over dps digits, built from exact q with exact square roots, for checks
+whose cancellation exceeds float64's digits.  A dense matrix is formed
+only on request (evaluate, Representation.matrix).
 
 The independence check for the projective-space basis monomials works in
 exact rational arithmetic.  Each basis family acts on e_n by a rational
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -36,7 +36,7 @@ import mpmath
 import numpy as np
 
 from . import ncalgebra
-from .coefficients import QLaurent
+from .coefficients import QLaurent, gauss_jordan
 from .ncalgebra import AlgebraPresentation, Element, GeneratorMap
 
 
@@ -94,12 +94,25 @@ class Representation:
 
     def shift_form(self, dps: int | None = None) -> "ShiftForm":
         """The generators as weighted shifts: complex128 for dps=None,
-        mpmath numbers at dps significant digits otherwise."""
+        fixed-point integers good to dps digits otherwise."""
         if dps not in self._shift_forms:
-            with _precision(dps):
-                q, ops = self._build(dps)
+            q, ops = self._build(dps)
             self._shift_forms[dps] = ShiftForm(self, dps, q, ops)
         return self._shift_forms[dps]
+
+
+# Guard bits of the fixed-point grid beyond dps digits.  The grid's
+# resolution is absolute: a word's weights are within about one unit of
+# 2^-B per letter, and an entry multiplies that error by the word's
+# coefficient.  Coefficients below 2^GUARD_BITS keep it under one unit in
+# the dps-th digit; ShiftForm.operator moves larger ones (rp2's q^-72 is
+# 2^72 at q = 1/2, 2^125 at q = 0.3) onto a finer grid.
+GUARD_BITS = 64
+
+
+def _grid_bits(dps: int) -> int:
+    """B of the fixed-point grid 2^-B that resolves dps digits."""
+    return math.ceil(dps * math.log2(10)) + GUARD_BITS
 
 
 class ShiftForm:
@@ -108,15 +121,28 @@ class ShiftForm:
     ops[i] maps displacements to weights: generator i sends e_k to the
     sum over d of ops[i][d][k] * e_{k+d}.  Weights span the whole direct
     sum and are zero wherever the target index would leave the block of
-    e_k, so products truncate exactly as truncated matrices do.  They are
-    complex128 arrays for dps=None and object arrays of mpmath numbers at
-    dps digits otherwise.  Words are composed shift by shift and
-    memoised, never as dense matrices.
+    e_k, so products truncate exactly as truncated matrices do.  Words are
+    composed shift by shift and memoised, never as dense matrices.
+
+    For dps=None the weights are complex128 arrays and q is a float.  For
+    a digit count they are fixed point: object arrays of Python ints
+    holding w * 2^B, with q an exact Fraction and B the bits of dps digits
+    plus GUARD_BITS.  Base weights are rounded once from exact rationals
+    and integer square roots, a product of two weights is (a * b) >> B,
+    and each coefficient of an element is rounded once onto the grid, so
+    every operation is an integer one and the error is a few units of
+    2^-B per letter, times the coefficient.  An element whose
+    coefficients would lift that error past 10^-dps is evaluated on a
+    finer grid and rounded back (operator).  element() converts the
+    result to mpmath numbers at dps digits; the checks of this module
+    compare the integers directly.
     """
 
     def __init__(self, rep: Representation, dps: int | None, q, ops):
         self.rep = rep
         self.dps = dps
+        self.bits = None if dps is None else _grid_bits(dps)
+        self.unit = 1 if dps is None else 1 << self.bits
         self.q = q
         self.ops = ops
         self._words: dict[tuple[int, ...], dict[int, np.ndarray]] = {
@@ -126,40 +152,69 @@ class ShiftForm:
         # letters act right to left: the word is its first letter applied
         # after the rest
         if word not in self._words:
-            self._words[word] = _then(self._word(word[1:]), self.ops[word[0]])
+            self._words[word] = _then(self._word(word[1:]), self.ops[word[0]],
+                                      self.bits)
         return self._words[word]
 
-    def element(self, x: Element) -> dict[int, np.ndarray]:
-        """displacement -> weights of the operator of x."""
+    def operator(self, x: Element) -> dict[int, np.ndarray]:
+        """displacement -> weights of the operator of x, in the store's
+        own numbers (complex128, or integers on the 2^-B grid within
+        2^-(B - GUARD_BITS) of the exact operator)."""
         if x.presentation is not self.rep.presentation:
             raise RepresentationError(
                 f"element over {x.presentation.name} fed to a representation "
                 f"of {self.rep.presentation.name}")
+        if self.dps is None:
+            return self._combine({word: coeff.evaluate(self.q)
+                                  for word, coeff in x.terms().items()})
+        coeffs = {word: _on_grid(coeff, self.q, self.unit)
+                  for word, coeff in x.terms().items()}
+        # each word carries about len(word) + 1 units of error, scaled by
+        # its coefficient; past 2^GUARD_BITS units, evaluate x on a grid
+        # finer by the excess and round the result back onto this one
+        spread = sum(abs(c) * (len(word) + 2) for word, c in coeffs.items())
+        excess = spread.bit_length() - self.bits - GUARD_BITS
+        if excess <= 0:
+            return self._combine(coeffs)
+        # ten more digits refine the grid by at least 33 bits
+        fine = self.rep.shift_form(self.dps + 10 * math.ceil(excess / 33))
+        out = fine._combine({word: _on_grid(coeff, fine.q, fine.unit)
+                             for word, coeff in x.terms().items()})
+        return {d: w >> (fine.bits - self.bits) for d, w in out.items()}
+
+    def _combine(self, coeffs: dict) -> dict[int, np.ndarray]:
+        """Sum over words of coefficient times word weights."""
         out: dict[int, np.ndarray] = {}
-        with _precision(self.dps):
-            for word, coeff in x.terms().items():
-                c = (coeff.evaluate(self.q) if self.dps is None
-                     else _mp_value(coeff, self.q))
-                for d, w in self._word(word).items():
-                    out[d] = out[d] + w * c if d in out else w * c
+        for word, c in coeffs.items():
+            for d, w in self._word(word).items():
+                out[d] = out[d] + w * c if d in out else w * c
+        if self.dps is not None:
+            # sums of products at 2^-2B: one rounding per entry
+            out = {d: w >> self.bits for d, w in out.items()}
         return out
 
+    def element(self, x: Element) -> dict[int, np.ndarray]:
+        """displacement -> weights of the operator of x: complex128 for
+        dps=None, mpmath numbers at dps digits otherwise."""
+        out = self.operator(x)
+        if self.dps is None:
+            return out
+        with mpmath.workdps(self.dps):
+            return {d: np.array([mpmath.mpf((v, -self.bits)) for v in w],
+                                dtype=object)
+                    for d, w in out.items()}
 
-def _precision(dps: int | None):
-    return nullcontext() if dps is None else mpmath.workdps(dps)
+
+def _on_grid(coeff: QLaurent, q: Fraction, unit: int) -> int:
+    """The exact value of coeff at q, rounded to a multiple of 1/unit."""
+    return round(sum(c * q ** e for e, c in coeff.items()) * unit)
 
 
 def _filled(n: int, dps: int | None, value) -> np.ndarray:
     """n weights equal to value, in the number type of the precision."""
     if dps is None:
         return np.full(n, value, dtype=complex)
-    return np.full(n, mpmath.mpf(value), dtype=object)
-
-
-def _mp_value(coeff: QLaurent, q):
-    """Exact-input evaluation of a coefficient at the working precision."""
-    return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * q ** e
-                       for e, c in coeff.items())
+    return np.full(n, value << _grid_bits(dps), dtype=object)
 
 
 def _moved(w: np.ndarray, d: int) -> np.ndarray:
@@ -171,25 +226,26 @@ def _moved(w: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise a * b, complex products through four real ones.
+def _mul(a: np.ndarray, b: np.ndarray, bits: int | None) -> np.ndarray:
+    """Elementwise a * b: complex products through four real ones, or
+    fixed-point products on the 2^-bits grid.
 
     numpy fuses the complex multiply, which leaves z * conj(z) with an
     imaginary part of rounding size; separate real products keep it 0.
     """
-    if a.dtype == object:
-        return a * b
+    if bits is not None:
+        return a * b >> bits
     return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag
                                                        + a.imag * b.real)
 
 
-def _then(first: dict[int, np.ndarray],
-          second: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+def _then(first: dict[int, np.ndarray], second: dict[int, np.ndarray],
+          bits: int | None) -> dict[int, np.ndarray]:
     """Shifts of (second @ first): apply first, then second."""
     out: dict[int, np.ndarray] = {}
     for d1, w1 in first.items():
         for d2, w2 in second.items():
-            w = _mul(w1, _moved(w2, d1))
+            w = _mul(w1, _moved(w2, d1), bits)
             d = d1 + d2
             out[d] = out[d] + w if d in out else w
     return out
@@ -206,7 +262,25 @@ def _dense(shifts: dict[int, np.ndarray], dim: int) -> np.ndarray:
 
 _FLOAT64 = SimpleNamespace(sqrt=math.sqrt,
                            expj=lambda t: cmath.exp(1j * t),
-                           conj=lambda z: z.conjugate())
+                           conj=lambda z: z.conjugate(),
+                           weight=lambda v: v)
+
+
+def _fixed_numbers(bits: int) -> SimpleNamespace:
+    """Exact rational formulas, square roots to 8 bits past the grid,
+    weights rounded once onto the grid 2^-bits."""
+    extra = bits + 8
+
+    def sqrt(x: Fraction) -> Fraction:
+        return Fraction(math.isqrt((x.numerator << 2 * extra) // x.denominator),
+                        1 << extra)
+
+    def expj(theta):
+        raise RepresentationError(
+            "rho_theta has complex weights and is evaluated in float64 only")
+
+    return SimpleNamespace(sqrt=sqrt, expj=expj, conj=None,
+                           weight=lambda v: round(v * (1 << bits)))
 
 
 def _adjoint(shift):
@@ -219,8 +293,9 @@ def _base_shifts(name: str, q, theta, num) -> dict[str, tuple[int, object]]:
     """Displacement and weight function of every generator of a base rep.
 
     One set of formulas serves both precisions: float q with the math
-    functions in ``num`` gives the float64 weights, an mpmath q with
-    mpmath itself as ``num`` gives the high-precision ones.
+    functions in ``num`` gives the float64 weights, an exact Fraction q
+    with _fixed_numbers gives exact rationals and square roots that
+    ``num.weight`` rounds onto the fixed-point grid.
     """
     if name == "rho_theta":
         z = num.expj(theta)
@@ -228,14 +303,14 @@ def _base_shifts(name: str, q, theta, num) -> dict[str, tuple[int, object]]:
                 "T*": (0, lambda k: 0.0),
                 "R": (0, lambda k: z), "R*": (0, lambda k: num.conj(z))}
     if name in ("rho_plus", "rho_minus"):
-        sign = 1.0 if name == "rho_plus" else -1.0
-        a = (-1, lambda k: num.sqrt(1.0 - q ** (4 * k)))
+        sign = 1 if name == "rho_plus" else -1
+        a = (-1, lambda k: num.sqrt(1 - q ** (4 * k)))
         return {"a": a, "a*": _adjoint(a),
                 "b": (0, lambda k: sign * q ** (2 * (k + 1)))}
     if name == "rho_rp2":
-        t = (-1, lambda k: q ** (2 * (k - 1)) * num.sqrt(1.0 - q ** (4 * k)))
-        r = (-2, lambda k: num.sqrt(max((1.0 - q ** (4 * k))
-                                        * (1.0 - q ** (4 * (k - 1))), 0.0)))
+        t = (-1, lambda k: q ** (2 * (k - 1)) * num.sqrt(1 - q ** (4 * k)))
+        r = (-2, lambda k: num.sqrt(max((1 - q ** (4 * k))
+                                        * (1 - q ** (4 * (k - 1))), 0)))
         return {"P": (0, lambda k: q ** (4 * k)), "T": t, "T*": _adjoint(t),
                 "R": r, "R*": _adjoint(r)}
     raise RepresentationError(f"unknown representation {name!r}")
@@ -274,12 +349,13 @@ def build_rep(name: str, q: float = 0.5, dim: int = 64,
     spectra = {diagonal: np.array([shifts[diagonal][1](k) for k in range(dim)])}
 
     def build(dps):
-        qx, num = (q, _FLOAT64) if dps is None else (mpmath.mpf(q), mpmath)
+        qx, num = ((q, _FLOAT64) if dps is None
+                   else (Fraction(q), _fixed_numbers(_grid_bits(dps))))
         ops = {}
         for g, (d, w) in _base_shifts(name, qx, theta, num).items():
             weights = _filled(dim, dps, 0)
             for k in range(max(0, -d), min(dim, dim - d)):
-                weights[k] = w(k)
+                weights[k] = num.weight(w(k))
             ops[p.gen_index(g)] = {d: weights}
         return qx, ops
 
@@ -302,7 +378,7 @@ def compose_rep(rep: Representation, gmap: GeneratorMap,
 
     def build(dps):
         form = rep.shift_form(dps)
-        ops = {i: form.element(img) for i, img in gmap.images.items()}
+        ops = {i: form.operator(img) for i, img in gmap.images.items()}
         return form.q ** gmap.q_scale, ops
 
     return Representation(gmap.source, name or f"{rep.name}.{gmap.name}",
@@ -359,16 +435,16 @@ class ResidualReport:
 
 def _compressed_max(form: ShiftForm, fx: dict[int, np.ndarray],
                     fy: dict[int, np.ndarray], margin: int) -> float:
-    """Max |entry| of the operator fx - fy on the compressed block."""
+    """Max |entry| of the operator fx - fy on the compressed block, both
+    in the store's own numbers."""
     good = np.zeros(form.rep.dim, dtype=bool)
     good[form.rep.good_indices(margin)] = True
     worst = 0.0
-    with _precision(form.dps):
-        for d in set(fx) | set(fy):
-            # entry (k + d, k) counts when both k and k + d are in the block
-            diff = (fx.get(d, 0) - fy.get(d, 0))[good & _moved(good, d)]
-            worst = max(worst, float(np.max(np.abs(diff), initial=0.0)))
-    return worst
+    for d in set(fx) | set(fy):
+        # entry (k + d, k) counts when both k and k + d are in the block
+        diff = (fx.get(d, 0) - fy.get(d, 0))[good & _moved(good, d)]
+        worst = max(worst, np.max(np.abs(diff), initial=0) / form.unit)
+    return float(worst)
 
 
 def relation_residuals(rep: Representation) -> ResidualReport:
@@ -394,12 +470,12 @@ def element_mismatch(x: Element, y: Element, rep: Representation,
     """Compressed max |rho(x) - rho(y)|, margin scaled by degree.
 
     dps=None evaluates in float64.  A digit count evaluates both elements
-    at that mpmath precision, from generators rebuilt out of exact q, so
-    the only error left is rounding at dps digits.
+    on the fixed-point grid of ShiftForm, from generators rebuilt out of
+    exact q, so the only error left is rounding below 10^-dps.
     """
     margin = rep.shift_bound * max(x.degree(), y.degree(), 1)
     form = rep.shift_form(dps)
-    return _compressed_max(form, form.element(x), form.element(y), margin)
+    return _compressed_max(form, form.operator(x), form.operator(y), margin)
 
 
 def adjoint_mismatch(x: Element, rep: Representation) -> float:
@@ -561,24 +637,6 @@ class IndependenceReport:
         return self.full_rank and self.recovery_max_error <= tol
 
 
-def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals; raises on singular input."""
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise RepresentationError("singular recovery system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
 def independence_check(monomials, q: float = 0.5, n_max: int = 40,
                        trials: int = 100, rng=None,
                        coeff_span: int = 5) -> IndependenceReport:
@@ -594,24 +652,27 @@ def independence_check(monomials, q: float = 0.5, n_max: int = 40,
     coefficients are re-extracted by solving one exact linear system per
     displacement class; the shared square root cancels, so recovery is
     exact and the reported error is a hard zero unless something is
-    genuinely wrong.
+    genuinely wrong.  A class's nodes and system do not depend on the
+    trial, so each class is built once, from the actions already found
+    for the rank, and solved for every trial's right-hand side in one
+    elimination.
     """
     monomials = tuple(monomials)
     if not monomials:
         raise RepresentationError("empty monomial family")
     qf = Fraction(q)
+    actions = [[exact_action(m, n, qf) for n in range(n_max + 1)]
+               for m in monomials]
 
     # float rank matrix
     row_index: dict[tuple[int, int], int] = {}
     triplets = []
-    for col, m in enumerate(monomials):
-        for n in range(n_max + 1):
-            hit = exact_action(m, n, qf)
+    for col, hits in enumerate(actions):
+        for n, hit in enumerate(hits):
             if hit is None:
                 continue
             out, rational, radicand = hit
-            key = (n, out)
-            row = row_index.setdefault(key, len(row_index))
+            row = row_index.setdefault((n, out), len(row_index))
             triplets.append((row, col, float(rational) * math.sqrt(float(radicand))))
     mat = np.zeros((len(row_index), len(monomials)))
     for row, col, val in triplets:
@@ -620,48 +681,44 @@ def independence_check(monomials, q: float = 0.5, n_max: int = 40,
     if np.any(norms == 0):
         raise RepresentationError(
             "a monomial acts as zero on every tested index; raise n_max")
-    sing = np.linalg.svd(mat / norms, compute_uv=False)
+    mat /= norms
+    # entries below sqrt(smallest normal) have subnormal products, which
+    # slow LAPACK's SVD about 200-fold; dropping them moves no singular
+    # value by more than 1e-150, far inside the 1e-10 threshold
+    mat[np.abs(mat) < math.sqrt(np.finfo(float).tiny)] = 0.0
+    sing = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.sum(sing > 1e-10 * sing[0]))
 
-    # exact recovery per displacement class
+    # exact recovery per displacement class: the coordinate at node n is
+    # sqrt(radicand(n)) * sum_k c_k rat_k(n) and the radical is common to
+    # the class, so the system is in the rational parts alone; each row
+    # is scaled to integers, which leaves its solution unchanged
+    rng = rng if rng is not None else _default_rng()
+    drawn = [[rng.randint(-coeff_span, coeff_span) for _ in monomials]
+             for _ in range(trials)]
     classes: dict[tuple[str, int], list[int]] = {}
     for idx, m in enumerate(monomials):
         classes.setdefault((m.family, m.l), []).append(idx)
-
-    rng = rng if rng is not None else _default_rng()
     max_err = 0.0
-    for _ in range(trials):
-        coeffs = [Fraction(rng.randint(-coeff_span, coeff_span))
-                  for _ in monomials]
-        recovered: list[Fraction | None] = [None] * len(monomials)
-        for (family, l), members in classes.items():
-            size = len(members)
-            nodes = []
-            n = 0
-            while len(nodes) < size:
-                if n > n_max:
-                    raise RepresentationError(
-                        f"insufficient n_max for family {family} l={l}")
-                if exact_action(monomials[members[0]], n, qf) is not None:
-                    nodes.append(n)
-                n += 1
-            # coordinate at node n is sqrt(radicand(n)) * sum_k c_k rat_k(n);
-            # the radical is common to the class, so work with the sums
-            system = []
-            data = []
-            for node in nodes:
-                rats = []
-                for idx in members:
-                    out, rational, _ = exact_action(monomials[idx], node, qf)
-                    rats.append(rational)
-                system.append(rats)
-                data.append(sum(c * r for c, r in
-                                zip((coeffs[i] for i in members), rats)))
-            solved = _solve_exact(system, data)
-            for idx, val in zip(members, solved):
-                recovered[idx] = val
-        err = max(abs(float(r - c)) for r, c in zip(recovered, coeffs))
-        max_err = max(max_err, err)
+    for (family, l), members in classes.items():
+        nodes = [n for n, hit in enumerate(actions[members[0]])
+                 if hit is not None][:len(members)]
+        if len(nodes) < len(members):
+            raise RepresentationError(
+                f"insufficient n_max for family {family} l={l}")
+        rows = []
+        for n in nodes:
+            rats = [actions[i][n][1] for i in members]
+            den = math.lcm(*(r.denominator for r in rats))
+            row = [r.numerator * (den // r.denominator) for r in rats]
+            rows.append(row + [sum(c[i] * a for i, a in zip(members, row))
+                               for c in drawn])
+        reduced, pivots = gauss_jordan(rows, len(members))
+        if len(pivots) < len(members):
+            raise RepresentationError("singular recovery system")
+        for i, row in zip(members, reduced):
+            max_err = max([max_err] + [abs(float(r - c[i])) for r, c
+                                       in zip(row[len(members):], drawn)])
     return IndependenceReport(len(monomials), rank, trials, max_err, n_max)
 
 

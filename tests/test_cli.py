@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qcstar import acceptance
 from qcstar.cli import build_parser, main
 
 TWO_SINK = """\
@@ -157,9 +158,24 @@ def test_rep_residuals_wrong_algebra(capsys):
     assert rc == 2 and "acts on" in err
 
 
+
+
+REP_CHOICES = ["pi_minus", "pi_plus", "pi_pm", "rho", "rho_minus",
+               "rho_plus", "rho_pm", "rho_rp2", "rho_theta"]
+
+
+@pytest.mark.parametrize("name", REP_CHOICES)
+def test_rep_residuals_accepts_every_name(capsys, name):
+    rc, payload, _ = run_json(capsys, "rep", "residuals", "--rep", name,
+                              "--dim", "8")
+    assert rc == 0 and payload["rep"] == name
+
+
 def test_rep_residuals_unknown_rep(capsys):
     rc, _, err = run(capsys, "rep", "residuals", "--rep", "bogus")
-    assert rc == 2 and "unknown representation" in err
+    assert rc == 2
+    assert err == (f"qcstar: unknown representation 'bogus'; choose from "
+                   f"{REP_CHOICES}\n")
 
 
 def test_rep_residuals_dim_too_small(capsys):
@@ -270,3 +286,54 @@ def test_reproduce_paper_full_run(capsys):
     for c in payload["criteria"]:
         assert c["expected_failure"] == (c["id"] in ("3b",))
     assert len(payload["criteria"]) == 10
+
+
+def _fixed_results(cfg):
+    return [acceptance.CriterionResult("1", "first", True, "ok", 0.25, 0.5),
+            acceptance.CriterionResult("3b", "second", False, "open", 1.5, 5.0)]
+
+
+def test_reproduce_paper_stats_adds_timings(capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "run_all", _fixed_results)
+    _, plain, _ = run(capsys, "reproduce-paper", "--format", "json")
+    _, stats, _ = run(capsys, "reproduce-paper", "--format", "json", "--stats")
+    assert "seconds" not in plain
+    with_stats = json.loads(stats)
+    assert [(c["seconds"], c["budget_seconds"])
+            for c in with_stats["criteria"]] == [(0.25, 0.5), (1.5, 5.0)]
+    for c in with_stats["criteria"]:
+        del c["seconds"], c["budget_seconds"]
+    assert with_stats == json.loads(plain)
+
+
+def test_reproduce_paper_json_without_stats_is_unchanged(capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "run_all", _fixed_results)
+    rc, out, _ = run(capsys, "reproduce-paper", "--format", "json")
+    assert rc == 1
+    assert out == """{
+  "schema": "qcstar/1",
+  "config": {
+    "q": 0.5,
+    "dim": 64,
+    "n_max": 40,
+    "seed": 0
+  },
+  "criteria": [
+    {
+      "id": "1",
+      "title": "first",
+      "passed": true,
+      "expected_failure": false,
+      "detail": "ok"
+    },
+    {
+      "id": "3b",
+      "title": "second",
+      "passed": false,
+      "expected_failure": true,
+      "detail": "open"
+    }
+  ],
+  "all_passed": false
+}
+"""

@@ -4,9 +4,11 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from qcstar.coefficients import QLaurent
 from qcstar.ncalgebra import builtin_morphism, presentation, random_element
 from qcstar.representations import (
     REP_NAMES,
@@ -263,6 +265,96 @@ def test_high_precision_evaluation_matches_float_without_cancellation():
         assert high == pytest.approx(low, rel=1e-12)
 
 
+def _dense_mp_generators(name, q, dim):
+    """Generator matrices of rho_plus or rho_rp2 from their closed forms,
+    at the working mpmath precision."""
+    q = mpmath.mpf(q)
+
+    def edge(k):
+        return 1 - q ** (4 * k)
+
+    if name == "rho_plus":
+        shifts = {"a": (-1, lambda k: mpmath.sqrt(edge(k))),
+                  "b": (0, lambda k: q ** (2 * (k + 1)))}
+    else:
+        shifts = {"P": (0, lambda k: q ** (4 * k)),
+                  "T": (-1, lambda k: q ** (2 * (k - 1)) * mpmath.sqrt(edge(k))),
+                  "R": (-2, lambda k: mpmath.sqrt(edge(k) * edge(k - 1)))}
+    mats = {}
+    for g, (d, w) in shifts.items():
+        m = mpmath.zeros(dim, dim)
+        for k in range(-d, dim):
+            m[k + d, k] = w(k)
+        mats[g] = m
+        if d:
+            mats[g + "*"] = m.T
+    return mats
+
+
+@pytest.mark.parametrize("name", ["rho_plus", "rho_rp2"])
+def test_high_precision_elements_match_dense_mpmath_products(name):
+    # the fixed-point store, read back through element(), against dense
+    # matrix products at twice the digits; the truncation is the same
+    dps, dim = 50, 16
+    rep = build_rep(name, q=Q, dim=dim)
+    p = rep.presentation
+    form = rep.shift_form(dps)
+    rng = random.Random(5)
+    with mpmath.workdps(2 * dps):
+        mats = _dense_mp_generators(name, Q, dim)
+        q = mpmath.mpf(Q)
+        for _ in range(6):
+            x = random_element(p, rng, max_degree=6)
+            want = mpmath.zeros(dim, dim)
+            for word, coeff in x.terms().items():
+                m = mpmath.eye(dim)
+                for letter in word:
+                    m = m * mats[p.generators[letter]]
+                want += sum(mpmath.mpf(c.numerator) / c.denominator * q ** e
+                            for e, c in coeff.items()) * m
+            got = mpmath.zeros(dim, dim)
+            for d, w in form.element(x).items():
+                assert all(isinstance(v, mpmath.mpf) for v in w)
+                for k in range(max(0, -d), min(dim, dim - d)):
+                    got[k + d, k] = w[k]
+            scale = 1 + max(abs(v) for v in want)
+            assert max(abs(v) for v in got - want) <= mpmath.mpf(10) ** -dps * scale
+
+
+def test_bridge_resolves_what_float64_cannot():
+    # criterion 7's suq2_mod_b element of the float64 figure 7.8e-6, set
+    # against its normal form plus q^40 = 9.1e-13 times the unit word
+    p = presentation("suq2_mod_b")
+    rep = direct_sum(build_rep("rho_plus", q=Q, dim=64),
+                     build_rep("rho_minus", q=Q, dim=64))
+    rng = random.Random(0)
+    for _ in range(55):
+        x = random_element(p, rng, max_degree=6)
+    y = p.normal_form(x) + p.one().scale(QLaurent.q_power(40, 1))
+    bridge = element_mismatch(x, y, rep, dps=50)
+    assert bridge > 1e-14
+    assert bridge == pytest.approx(Q ** 40, rel=1e-12)
+    # float64 loses the difference in cancellation error a million times larger
+    assert element_mismatch(x, y, rep) > 1e6 * Q ** 40
+
+
+def test_large_coefficients_keep_dps_digits():
+    # q^-200 P^3 has entries q^(12k - 200): a coefficient of 2^200 times
+    # weights as small as 2^-756 on a grid of 2^-231, so it is evaluated
+    # on a finer grid and rounded back
+    rep = build_rep("rho_rp2", q=Q, dim=64)
+    p = rep.presentation
+    x = p.word("P", "P", "P").scale(QLaurent.q_power(-200, 1))
+    dps = 50
+    weights = rep.shift_form(dps).element(x)[0]
+    with mpmath.workdps(2 * dps):
+        worst = max(abs(w - mpmath.mpf(2) ** (200 - 12 * k))
+                    for k, w in enumerate(weights))
+    assert worst < mpmath.mpf(10) ** -dps
+    assert element_mismatch(x, x.scale(1 + QLaurent.q_power(300, 1)), rep,
+                            dps=dps) == pytest.approx(Q ** 100)
+
+
 # -- exact monomial action -------------------------------------------------------
 
 def test_monomial_shapes():
@@ -340,6 +432,32 @@ def test_independence_insufficient_range():
     with pytest.raises(RepresentationError):
         independence_check((BasisMonomial(0, 6, "PR"),), q=Q, n_max=5,
                            trials=2, rng=random.Random(2))
+
+
+def test_independence_insufficient_n_max_for_recovery():
+    # every monomial acts on some input up to n_max = 2, but the four
+    # members of class (PR, l=0) need four nodes
+    with pytest.raises(RepresentationError, match="insufficient n_max"):
+        independence_check(basis_monomials(3, 0), q=Q, n_max=2, trials=1,
+                           rng=random.Random(0))
+
+
+def test_independence_recovers_the_drawn_coefficients():
+    class Recording(random.Random):
+        def randint(self, a, b):
+            value = super().randint(a, b)
+            drawn.append(value)
+            return value
+
+    drawn = []
+    fam = basis_monomials(2, 2)
+    report = independence_check(fam, q=0.3, n_max=40, trials=20,
+                                rng=Recording(0))
+    assert report.rank == report.monomial_count == len(fam)
+    assert report.recovery_max_error == 0.0
+    # drawn trial by trial, one per monomial, from the given generator
+    fresh = random.Random(0)
+    assert drawn == [fresh.randint(-5, 5) for _ in range(20 * len(fam))]
 
 
 def test_independence_empty_family():
