@@ -64,9 +64,6 @@ class Graph:
         except ValueError:
             raise GraphError(f"unknown vertex {name!r}") from None
 
-    def out_edges(self, vertex: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.source == vertex)
-
 
 @dataclass(frozen=True)
 class VertexSet:
@@ -184,22 +181,6 @@ def build_ag(g: Graph) -> IntegerMatrix:
     return IntegerMatrix(len(g.vertices), len(cols),
                          tuple(counts[v, w] - (w == v)
                                for w in g.vertices for v in cols))
-
-
-def is_hereditary(g: Graph, subset) -> bool:
-    """Every edge with source in the subset has its range in the subset."""
-    names = set(subset.names if isinstance(subset, VertexSet) else subset)
-    return all(e.range in names for e in g.edges if e.source in names)
-
-
-def is_saturated(g: Graph, subset) -> bool:
-    """Every emitter whose edges all land in the subset lies in the subset."""
-    names = set(subset.names if isinstance(subset, VertexSet) else subset)
-    for v in g.vertices:
-        out = g.out_edges(v)
-        if out and v not in names and all(e.range in names for e in out):
-            return False
-    return True
 
 
 def hereditary_saturated_sets(g: Graph) -> tuple[VertexSet, ...]:

@@ -2,10 +2,11 @@
 
 Smith normal form with explicit unimodular transforms drives everything:
 cokernels give K0, kernels give K1.  All arithmetic uses Python integers
-and fractions, never floats, so the results are exact.  Independent
-oracles (rational rank by Gaussian elimination, torsion order by
-determinantal divisors and by literal coset enumeration) are exposed for
-cross-checking the SNF pipeline.
+and fractions, never floats, so the results are exact.  Oracles that
+share no code with the SNF (rational rank by Gaussian elimination,
+torsion order by determinantal divisors and by literal coset
+enumeration) are exposed for cross-checking it; the coset oracle takes
+its modulus from the claim it checks, so it is not independent of it.
 """
 
 from __future__ import annotations
@@ -347,35 +348,44 @@ def image_size_mod(m: IntegerMatrix, modulus: int,
                    state_cap: int = 30000) -> int | None:
     """Size of the subgroup of (Z/modulus)^rows spanned by the columns.
 
-    Literal breadth-first enumeration of the span, one frontier at a
-    time: every state is packed into one mixed-radix key (coordinate i
-    is digit i in base modulus), each generator is added to the whole
-    frontier at once, and new keys are found by sorting and a binary
-    search in the sorted keys already seen.  Returns None when the
-    subgroup grows past state_cap states.
+    Literal enumeration of the span, one cyclic extension at a time
+    (Dimino's algorithm for an abelian group).  Every state is packed
+    into one mixed-radix key (coordinate i is digit i in base modulus).
+    For each column g, the index k of the span S so far in S + <g> is the
+    least t >= 1 with t*g in S.  The cosets S + t*g, t < k, are disjoint,
+    so the new span has exactly |S|*k states, which fit in state_cap
+    exactly when k <= state_cap // |S|.  Only those multiples of g are
+    packed and looked up, by one binary search in the sorted keys of S;
+    when none lands in S the enumeration stops before building a state.
+    Otherwise the k shifted copies of S are added digit-wise and sorted
+    once.  Returns None exactly when the span has more than state_cap
+    states.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    # int64 keys when modulus^rows fits, exact Python ints otherwise
-    dtype = np.int64 if modulus ** m.rows < 2 ** 63 else object
+    # int64 when modulus^rows and every t*g (t <= modulus) fit, exact
+    # Python ints otherwise
+    dtype = np.int64 if modulus ** max(m.rows, 2) < 2 ** 63 else object
     powers = np.array([modulus ** i for i in range(m.rows)], dtype=dtype)
     gens = np.array([[x % modulus for x in m.column(j)]
                      for j in range(m.cols)], dtype=dtype).reshape(m.cols, m.rows)
     gens = gens[(gens != 0).any(axis=1)]
-    seen = np.zeros(1, dtype=dtype)  # sorted keys of every state reached
-    frontier = seen
-    while frontier.size:
-        digits = frontier[:, None] // powers % modulus
-        children = np.sort(((digits[None, :, :] + gens[:, None, :]) % modulus
-                            * powers).sum(axis=2), axis=None)
-        children = children[np.diff(children, prepend=-1) != 0]
-        at = np.searchsorted(seen, children)
-        fresh = seen[np.minimum(at, seen.size - 1)] != children
-        if seen.size + np.count_nonzero(fresh) > state_cap:
+    digits = np.zeros((1, m.rows), dtype=dtype)  # the states of S
+    keys = np.zeros(1, dtype=dtype)  # their packed keys, sorted
+    for g in gens:
+        # k <= state_cap // |S| keeps |S|*k within the cap; t = modulus
+        # always lands in S, so no hit means k is past the cap
+        reach = min(modulus, state_cap // keys.size)
+        multiples = np.arange(1, reach + 1).astype(dtype)[:, None] * g % modulus
+        packed = (multiples * powers).sum(axis=1)
+        at = np.minimum(np.searchsorted(keys, packed), keys.size - 1)
+        hits = np.flatnonzero(keys[at] == packed)
+        if hits.size == 0:
             return None
-        frontier = children[fresh]
-        seen = np.insert(seen, at[fresh], frontier)
-    return int(seen.size)
+        shifted = (digits[None, :, :] + multiples[:hits[0], None, :]) % modulus
+        digits = np.concatenate([digits, shifted.reshape(-1, m.rows)])
+        keys = np.sort((digits * powers).sum(axis=1))
+    return int(keys.size) if keys.size <= state_cap else None
 
 
 def torsion_order_by_cosets(m: IntegerMatrix, claimed_order: int,
@@ -386,6 +396,14 @@ def torsion_order_by_cosets(m: IntegerMatrix, claimed_order: int,
     column span S in (Z/mod)^rows then has size mod^rank / torsion, so
     the torsion order is mod^rank / |S|.  Returns None when enumeration
     would exceed state_cap.
+
+    The modulus comes from the claim, so the oracle is not independent
+    of it.  In general it returns the product of gcd(d, modulus) over the
+    invariant factors d.  An over-claim (a multiple of the true order) is
+    refuted wherever the enumeration completes.  An under-claim can be
+    confirmed when a prime of the true order is missing from 2*claimed:
+    [[-3]] with claim 1 gives 1.  Pair it with torsion_order_by_minors,
+    which refutes every wrong claim.
     """
     modulus = 2 * max(claimed_order, 1)
     rank = rational_rank(m)

@@ -13,8 +13,6 @@ from qcstar.graphs import (
     builtin_graph,
     emitters,
     hereditary_saturated_sets,
-    is_hereditary,
-    is_saturated,
     lattices_isomorphic,
     parse_graph,
     render,
@@ -36,7 +34,7 @@ def test_parse_basic():
     assert g.vertices == ("v", "w1", "w2")
     assert [e.name for e in g.edges] == ["e", "f1", "f2"]
     assert g.edges[0] == Edge("e", "v", "v")
-    assert g.out_edges("w1") == ()
+    assert out_edges(g, "w1") == ()
     m = build_ag(g)
     assert m.entry(g.vertex_index("w1"), 0) == 1   # one edge v -> w1
     assert m.cols == 1   # w1 emits nothing, so it has no column
@@ -177,6 +175,26 @@ def test_graph_validation_rejects_bad_construction():
 
 
 # -- brute-force references ----------------------------------------------------
+
+def out_edges(g, vertex):
+    return tuple(e for e in g.edges if e.source == vertex)
+
+
+def is_hereditary(g, subset):
+    """Every edge with source in the subset has its range in the subset."""
+    names = set(subset.names if isinstance(subset, VertexSet) else subset)
+    return all(e.range in names for e in g.edges if e.source in names)
+
+
+def is_saturated(g, subset):
+    """Every emitter whose edges all land in the subset lies in the subset."""
+    names = set(subset.names if isinstance(subset, VertexSet) else subset)
+    for v in g.vertices:
+        out = out_edges(g, v)
+        if out and v not in names and all(e.range in names for e in out):
+            return False
+    return True
+
 
 def reference_hereditary_saturated_sets(g):
     """Every one of the 2^n vertex subsets tested by definition."""

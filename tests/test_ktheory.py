@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from qcstar import ktheory
@@ -147,6 +148,140 @@ def test_image_size_mod_state_cap_boundary():
                                     [0, 6144]])
     assert image_size_mod(wide, 8192, state_cap=8) == 8
     assert image_size_mod(wide, 8192, state_cap=7) is None
+
+
+# -- coset oracle: the breadth-first reference ---------------------------------
+
+def reference_image_size_mod(m, modulus, state_cap=30000):
+    """Breadth-first enumeration of the column span mod modulus.
+
+    Every state is a mixed-radix key; each generator is added to the whole
+    frontier at once, and new keys are found by a binary search in the
+    sorted keys already seen.  None once the span passes state_cap.
+    """
+    dtype = np.int64 if modulus ** m.rows < 2 ** 63 else object
+    powers = np.array([modulus ** i for i in range(m.rows)], dtype=dtype)
+    gens = np.array([[x % modulus for x in m.column(j)]
+                     for j in range(m.cols)], dtype=dtype).reshape(m.cols, m.rows)
+    gens = gens[(gens != 0).any(axis=1)]
+    seen = np.zeros(1, dtype=dtype)
+    frontier = seen
+    while frontier.size:
+        digits = frontier[:, None] // powers % modulus
+        children = np.sort(((digits[None, :, :] + gens[:, None, :]) % modulus
+                            * powers).sum(axis=2), axis=None)
+        children = children[np.diff(children, prepend=-1) != 0]
+        at = np.searchsorted(seen, children)
+        fresh = seen[np.minimum(at, seen.size - 1)] != children
+        if seen.size + np.count_nonzero(fresh) > state_cap:
+            return None
+        frontier = children[fresh]
+        seen = np.insert(seen, at[fresh], frontier)
+    return int(seen.size)
+
+
+def criterion_6_matrices(seed, count=1000):
+    """The matrices criterion 6 draws at this seed, in its order."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        rows = rng.randint(1, 4)
+        cols = rng.randint(1, 4)
+        out.append(IntegerMatrix(rows, cols, tuple(
+            rng.randint(-4, 4) for _ in range(rows * cols))))
+    return out
+
+
+def test_criterion_6_matrices_are_criterion_6s_draw():
+    # criterion 6 reports "literal coset enumeration on 942" at seed 0;
+    # if its draw changes, this copy no longer checks its matrices
+    completed = sum(
+        torsion_order_by_cosets(m, cokernel(m).torsion_order()) is not None
+        for m in criterion_6_matrices(0))
+    assert completed == 942
+
+
+CAPS = (30000, 1000, 16)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_image_size_mod_matches_reference_on_criterion_6(seed):
+    # the moduli criterion 6 enumerates at: twice the SNF torsion order
+    for m in criterion_6_matrices(seed):
+        modulus = 2 * max(cokernel(m).torsion_order(), 1)
+        for cap in CAPS:
+            assert (image_size_mod(m, modulus, cap)
+                    == reference_image_size_mod(m, modulus, cap)), (m, cap)
+
+
+def test_image_size_mod_matches_reference_on_wide_moduli():
+    # moduli to 1e13 mostly put modulus^rows past 2^63: exact Python-int
+    # keys.  Entries are multiples of modulus / order, so each column has
+    # order dividing `order` and spans both complete and pass the caps.
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(40):
+        rows = rng.randint(1, 4)
+        cols = rng.randint(1, 4)
+        order = rng.choice([2, 3, 12, 60, 5000])
+        step = rng.randint(10 ** 9, 10 ** 13 // order)
+        modulus = order * step
+        m = IntegerMatrix(rows, cols, tuple(
+            rng.randint(-6, 6) * step for _ in range(rows * cols)))
+        for cap in CAPS:
+            got = image_size_mod(m, modulus, cap)
+            assert got == reference_image_size_mod(m, modulus, cap), (m, modulus, cap)
+            outcomes.add((cap, got is None, modulus ** rows >= 2 ** 63))
+    assert {(30000, True, True), (30000, False, True)} <= outcomes
+
+
+def test_image_size_mod_multiples_past_int64():
+    # modulus^rows fits in int64 but 4 * g does not: g = 3/4 of the
+    # modulus has order 4, which wrapped products would miss
+    modulus = 3 * 2 ** 60
+    m = IntegerMatrix.from_rows([[3 * modulus // 4]])
+    assert image_size_mod(m, modulus) == 4
+    assert reference_image_size_mod(m, modulus) == 4
+
+
+def test_image_size_mod_refuses_far_past_the_cap():
+    # spans of 10^12 and 10^24 states: refused from the index of the
+    # first cyclic extension, before any state is built
+    assert image_size_mod(IntegerMatrix.identity(1), 10 ** 12) is None
+    assert image_size_mod(IntegerMatrix.identity(4), 10 ** 6) is None
+
+
+def test_image_size_mod_trivial_span_against_caps_below_one():
+    # the span always holds 0: one state, refused only by a cap below one
+    for m in (IntegerMatrix.zeros(2, 3), IntegerMatrix(2, 0, ()),
+              IntegerMatrix.from_rows([[7], [14]])):
+        assert image_size_mod(m, 7, state_cap=1) == 1
+        assert image_size_mod(m, 7, state_cap=0) is None
+        assert reference_image_size_mod(m, 7, state_cap=0) is None
+    assert image_size_mod(IntegerMatrix.identity(1), 7, state_cap=0) is None
+
+
+def test_coset_oracle_refutes_planted_over_claims():
+    # mod 2 * 2c every invariant factor divides the modulus, so the
+    # enumeration reads the true order c and never confirms 2c
+    refuted = 0
+    for seed in (0, 1):
+        for m in criterion_6_matrices(seed):
+            claimed = cokernel(m).torsion_order()
+            by_cosets = torsion_order_by_cosets(m, 2 * claimed)
+            if by_cosets is not None:
+                assert by_cosets == claimed != 2 * claimed, m
+                refuted += 1
+    assert refuted > 1000
+
+
+def test_coset_oracle_cannot_see_primes_absent_from_the_claim():
+    # the modulus comes from the claim: mod 2, a torsion of Z_3 is
+    # invisible, so the under-claim 1 is confirmed.  The minor-gcd oracle
+    # is what refutes it in criterion 6.
+    m = IntegerMatrix.from_rows([[-3]])
+    assert torsion_order_by_cosets(m, 1) == 1
+    assert torsion_order_by_minors(m) == 3
 
 
 def test_cokernel_and_kernel():

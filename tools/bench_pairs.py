@@ -1,0 +1,105 @@
+"""Alternating parent/change runs of perfbench, written to one JSON file.
+
+Runs ``python3 perfbench/run.py --workload W --seed S --seconds 18
+--trace 0`` in two checkouts for each seed in turn, the parent first
+for the first seed, the change first for the next, and so on, and
+keeps the last line of each run's standard output (the harness's
+result line) as it is.  The file written holds the command,
+the machine (cores, Python, numpy, load average before and after), every
+pair's two result lines, and per end-to-end metric the medians, the
+parent's quartiles and the number of pairs the change won:
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workload reproduce --seeds 1 2 3 --out BENCH.json
+
+Each checkout should be a fresh copy of its tree.  Several workloads
+may be given; their runs go into the same file.  An existing file is
+extended, so workloads can be measured in separate invocations.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy
+
+METRICS = ("wall_s", "setup_s", "slowest_op_s", "peak_rss_mb")
+
+
+def command(workload: str, seed) -> list[str]:
+    return ["python3", "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", "18", "--trace", "0"]
+
+
+def run(tree: Path, workload: str, seed: int) -> dict:
+    done = subprocess.run(command(workload, seed), cwd=tree,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          text=True, check=False)
+    lines = done.stdout.splitlines()
+    if not lines:
+        raise SystemExit(f"{tree}: no result line (exit code {done.returncode})")
+    return json.loads(lines[-1])
+
+
+def summary(pairs: list[dict]) -> dict:
+    out = {}
+    for name in METRICS:
+        parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
+        change = [p["change"]["metrics"][name]["value"] for p in pairs]
+        quartiles = (statistics.quantiles(parent, n=4) if len(parent) > 1
+                     else parent * 3)
+        out[name] = {"parent_median": statistics.median(parent),
+                     "change_median": statistics.median(change),
+                     "parent_quartiles": [quartiles[0], quartiles[2]],
+                     "change_range": [min(change), max(change)],
+                     "change_lower_in": sum(c < p for p, c in zip(parent, change)),
+                     "pairs": len(pairs)}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", nargs="+", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+
+    doc = (json.loads(args.out.read_text()) if args.out.exists() else
+           {"command": " ".join(command("<workload>", "<seed>")),
+            "order": "per seed, both sides in turn, the first side alternating",
+            "machine": {"nproc": os.cpu_count(),
+                        "python": platform.python_version(),
+                        "numpy": numpy.__version__},
+            "workloads": {}})
+    for workload in args.workload:
+        load_before = os.getloadavg()
+        pairs = []
+        for i, seed in enumerate(args.seeds):
+            sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": sides[0]}
+            for side in sides:
+                pair[side] = run(getattr(args, side), workload, seed)
+            pairs.append(pair)
+            parent, change = pair["parent"], pair["change"]
+            print(workload, seed, *(f"{m} {parent['metrics'][m]['value']:.4g}"
+                                    f" -> {change['metrics'][m]['value']:.4g}"
+                                    for m in METRICS), file=sys.stderr)
+        doc["workloads"][workload] = {
+            "seeds": args.seeds,
+            "load_average": {"before": load_before, "after": os.getloadavg()},
+            "pairs": pairs, "summary": summary(pairs)}
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
