@@ -40,7 +40,6 @@ from .ncalgebra import (
     builtin_morphism,
     check_local_confluence,
     is_fixed,
-    param_c_to_s,
     presentation,
 )
 from .representations import (
@@ -69,7 +68,7 @@ __all__ = [
     "BUILTIN_MORPHISMS", "AlgebraPresentation", "Element",
     "ExpressionError", "GeneratorMap", "PresentationError",
     "RewriteBudgetError", "builtin_morphism", "check_local_confluence",
-    "is_fixed", "param_c_to_s", "presentation",
+    "is_fixed", "presentation",
     "BasisMonomial", "Representation", "RepresentationError", "build_rep",
     "compose_rep", "direct_sum", "evaluate", "independence_check",
     "basis_monomials", "relation_residuals", "spectrum_check",

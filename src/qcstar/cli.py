@@ -5,7 +5,7 @@ fixed, rep residuals|spectrum|independence, reproduce-paper.  Output is
 JSON by default (schema "qcstar/1", floats at 12 significant digits,
 byte-identical for identical configs); --format plain gives a loose
 human rendering.  Exit codes: 0 success, 1 failed verification, 2 usage
-or parse errors.
+or parse errors and normal forms past the rewrite step budget.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ _USAGE_ERRORS = (
     graphs.GraphError,
     ncalgebra.ExpressionError,
     ncalgebra.PresentationError,
+    ncalgebra.RewriteBudgetError,
     reps.RepresentationError,
     OSError,
     ValueError,

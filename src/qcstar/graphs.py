@@ -130,13 +130,6 @@ def parse_graph(text: str) -> Graph:
     return Graph(tuple(vertices), tuple(edges))
 
 
-def render(g: Graph) -> str:
-    """Canonical text form; parse_graph(render(g)) reproduces g."""
-    lines = [f"vertex {v}" for v in g.vertices]
-    lines.extend(f"edge {e.name} {e.source} {e.range}" for e in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 BUILTIN_GRAPHS = ("G1", "G2", "G3")
 
 

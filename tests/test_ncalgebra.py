@@ -248,12 +248,14 @@ def test_exhaustive_normal_form_properties(name, max_len):
         assert p.normal_form(nf.star()) == p.normal_form(x.star())
 
 
-@pytest.mark.parametrize("name,max_len", [
-    ("sphere", 5), ("disc", 6), ("rp2", 4), ("suq2_mod_b", 5),
-])
-def test_irreducible_words_are_exactly_the_declared_basis(name, max_len):
+# every word up to these lengths, about 0.3 s each and 1 s for rp2
+BASIS_CHECK_LENGTHS = {"sphere": 9, "disc": 12, "rp2": 7, "suq2_mod_b": 9}
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_irreducible_words_are_exactly_the_declared_basis(name):
     p = presentation(name)
-    for names in all_words(p, max_len):
+    for names in all_words(p, BASIS_CHECK_LENGTHS[name]):
         word = tuple(p.gen_index(g) for g in names)
         assert p.is_normal_word(word) == p.in_declared_basis(word), names
 
@@ -266,6 +268,28 @@ def test_local_confluence_no_unresolved_overlaps(name):
 @pytest.mark.parametrize("s", [0, Fraction(1, 2), Fraction(3, 7)])
 def test_local_confluence_sphere_any_s(s):
     assert check_local_confluence(presentation("sphere", s=s)) == []
+
+
+def test_in_declared_basis_needs_a_declared_basis():
+    p = AlgebraPresentation("bare", ("u",), {"u": "u"}, [])
+    with pytest.raises(PresentationError, match="no declared basis"):
+        p.in_declared_basis(("u",))
+
+
+def test_local_confluence_reports_a_suffix_prefix_overlap():
+    # b b -> a overlaps itself in b b b, whose reducts a b and b a are
+    # both irreducible
+    p = AlgebraPresentation("bb", ("a", "b"), {"a": "a", "b": "b"},
+                            [(("b", "b"), {("a",): QLaurent.one()})])
+    assert check_local_confluence(p) == [("b^3", p.parse("a b - b a"))]
+
+
+def test_local_confluence_reports_an_inclusion():
+    # b a lies inside b b a: the first rule gives 0, the second b a -> a
+    p = AlgebraPresentation("bba", ("a", "b"), {"a": "a", "b": "b"},
+                            [(("b", "b", "a"), {}),
+                             (("b", "a"), {("a",): QLaurent.one()})])
+    assert check_local_confluence(p) == [("b^2 a", -p.gen("a"))]
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)

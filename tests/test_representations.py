@@ -14,7 +14,6 @@ from qcstar.representations import (
     REP_NAMES,
     BasisMonomial,
     RepresentationError,
-    adjoint_mismatch,
     build_rep,
     compose_rep,
     direct_sum,
@@ -25,10 +24,18 @@ from qcstar.representations import (
     basis_monomials,
     relation_residuals,
     spectrum_check,
-    theta_separation,
 )
 
 Q = 0.5
+
+
+def matrix(rep, gen_name):
+    """Dense complex matrix of one generator, from its weighted shifts."""
+    m = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for d, w in rep.shift_form().ops[rep.presentation.gen_index(gen_name)].items():
+        k = np.arange(max(0, -d), min(rep.dim, rep.dim - d))
+        m[k + d, k] = w[k]
+    return m
 
 
 def test_rep_names():
@@ -49,8 +56,8 @@ def test_build_rep_validation():
 
 def test_shift_structure():
     rep = build_rep("rho_plus", q=Q, dim=8)
-    a = rep.matrix("a")
-    b = rep.matrix("b")
+    a = matrix(rep, "a")
+    b = matrix(rep, "b")
     # b is diagonal with entries q^{2(k+1)}
     assert b[0, 0] == pytest.approx(0.25)
     assert b[1, 1] == pytest.approx(0.0625)
@@ -59,14 +66,14 @@ def test_shift_structure():
     assert np.allclose(a[:, 0], 0)
     assert a[0, 1] == pytest.approx(math.sqrt(1 - Q ** 4))
     # the star generator is the exact conjugate transpose
-    assert np.array_equal(rep.matrix("a*"), a.conj().T)
+    assert np.array_equal(matrix(rep, "a*"), a.conj().T)
 
 
 def test_rho_minus_flips_the_diagonal():
     plus = build_rep("rho_plus", q=Q, dim=8)
     minus = build_rep("rho_minus", q=Q, dim=8)
-    assert np.array_equal(minus.matrix("b"), -plus.matrix("b"))
-    assert np.array_equal(minus.matrix("a"), plus.matrix("a"))
+    assert np.array_equal(matrix(minus, "b"), -matrix(plus, "b"))
+    assert np.array_equal(matrix(minus, "a"), matrix(plus, "a"))
 
 
 @pytest.mark.parametrize("name", ["rho_plus", "rho_minus", "pi_plus",
@@ -90,11 +97,11 @@ def test_pi_plus_is_a_structural_pullback():
     rho = build_rep("rho_plus", q=Q, dim=16)
     f = builtin_morphism("F")
     again = compose_rep(rho, f)
-    assert np.allclose(pi.matrix("K"), again.matrix("K"))
-    assert np.allclose(pi.matrix("L"), rho.matrix("a"))
+    assert np.allclose(matrix(pi, "K"), matrix(again, "K"))
+    assert np.allclose(matrix(pi, "L"), matrix(rho, "a"))
     # K acts by q^{2k} on the plus component
-    assert pi.matrix("K")[0, 0] == pytest.approx(1.0)
-    assert pi.matrix("K")[1, 1] == pytest.approx(Q ** 2)
+    assert matrix(pi, "K")[0, 0] == pytest.approx(1.0)
+    assert matrix(pi, "K")[1, 1] == pytest.approx(Q ** 2)
 
 
 def test_compose_rep_scales_q():
@@ -118,9 +125,9 @@ def test_direct_sum():
     both = direct_sum(plus, minus)
     assert both.dim == 16
     assert both.block_dims == (8, 8)
-    k = both.matrix("K")
-    assert np.allclose(k[:8, :8], plus.matrix("K"))
-    assert np.allclose(k[8:, 8:], minus.matrix("K"))
+    k = matrix(both, "K")
+    assert np.allclose(k[:8, :8], matrix(plus, "K"))
+    assert np.allclose(k[8:, 8:], matrix(minus, "K"))
     assert np.count_nonzero(k[:8, 8:]) == 0
     assert relation_residuals(both).max_residual() <= 1e-12
     assert len(both.spectra["K"]) == 16
@@ -138,7 +145,7 @@ def test_direct_sum_rejects_mismatches():
 def test_evaluate_words_and_coefficients():
     rep = build_rep("pi_plus", q=Q, dim=12)
     p = rep.presentation
-    k = rep.matrix("K")
+    k = matrix(rep, "K")
     assert np.allclose(evaluate(p.parse("K^2"), rep), k @ k)
     # q powers evaluate at the representation's q
     assert np.allclose(evaluate(p.parse("q^2 K"), rep), Q ** 2 * k)
@@ -153,7 +160,7 @@ def _dense_product_evaluate(x, rep):
     for word, coeff in x.terms().items():
         m = np.eye(rep.dim, dtype=complex)
         for letter in word:
-            m = m @ rep.matrix(rep.presentation.generators[letter])
+            m = m @ matrix(rep, rep.presentation.generators[letter])
         total += coeff.evaluate(rep.q) * m
     return total
 
@@ -214,6 +221,14 @@ def test_good_indices_empty_raises():
     x = rep.presentation.parse("P R T")
     with pytest.raises(RepresentationError):
         element_mismatch(x, x, rep)
+
+
+def adjoint_mismatch(x, rep):
+    """Compressed deviation of rho(x*) from rho(x) conjugate-transposed."""
+    good = rep.good_indices(rep.shift_bound * max(x.degree(), 1))
+    block = np.ix_(good, good)
+    return np.max(np.abs(evaluate(x.star(), rep)[block]
+                         - evaluate(x, rep).conj().T[block]))
 
 
 def test_adjoint_consistency():
@@ -413,6 +428,62 @@ def test_exact_action_annihilation():
     assert exact_action(m, 4, Fraction(1, 2)) is not None
 
 
+def reference_exact_action(m, n, q):
+    """exact_action from the closed forms of the four families, with the
+    radicand an exact product of edge factors 1 - q^{4j}."""
+    q4 = q ** 4
+    k, l = m.k, m.l
+
+    def prod_range(lo: int, hi: int) -> Fraction:
+        # product of (1 - q^{4j}) for j = lo .. hi; zero when any j <= 0
+        total = Fraction(1)
+        for j in range(lo, hi + 1):
+            if j <= 0:
+                return Fraction(0)
+            total *= 1 - q4 ** j
+        return total
+
+    if m.family == "PRT":
+        out = n - 1 - 2 * l
+        radicand = (1 - q4 ** n) * prod_range(n - 2 * l, n - 1) \
+            if n >= 1 else Fraction(0)
+        rational = q ** (2 * (n - 1)) * q4 ** (k * out) if out >= 0 else None
+    elif m.family == "PR*T*":
+        out = n + 1 + 2 * l
+        radicand = (1 - q4 ** (n + 1)) * prod_range(n + 2, n + 1 + 2 * l)
+        rational = q ** (2 * n) * q4 ** (k * out)
+    elif m.family == "PR":
+        out = n - 2 * l
+        radicand = prod_range(n - 2 * l + 1, n)
+        rational = q4 ** (k * out) if out >= 0 else None
+    else:  # PR*
+        out = n + 2 * l
+        radicand = prod_range(n + 1, n + 2 * l)
+        rational = q4 ** (k * out)
+    if out < 0 or radicand == 0:
+        return None
+    return out, rational, radicand
+
+
+def test_exact_action_matches_closed_forms():
+    # 60 monomials x 61 inputs x 3 values of q; exact decimal q keeps the
+    # reference's exact radicand products small (a float-derived 0.3 has
+    # a 54-bit denominator and makes them 40 times slower)
+    checked = 0
+    for q in (Fraction(1, 2), Fraction(3, 10), Fraction(9, 10)):
+        for m in basis_monomials(3, 3):
+            for n in range(61):
+                want = reference_exact_action(m, n, q)
+                got = exact_action(m, n, q)
+                checked += 1
+                if want is None:
+                    assert got is None, (q, m, n)
+                    continue
+                assert got[:2] == want[:2], (q, m, n)
+                assert abs(got[2] - float(want[2])) <= 1e-13 * float(want[2])
+    assert checked == 10_980
+
+
 def test_independence_full_family():
     report = independence_check(basis_monomials(1, 1), q=Q, n_max=30,
                                 trials=20, rng=random.Random(0))
@@ -463,6 +534,32 @@ def test_independence_recovers_the_drawn_coefficients():
 def test_independence_empty_family():
     with pytest.raises(RepresentationError):
         independence_check((), q=Q)
+
+
+def theta_separation(q, thetas):
+    """The circle family tells its members apart.
+
+    For each pair theta_i != theta_j, the element R - e^{i theta_i} is
+    killed by the theta_i representation but not by the theta_j one.
+    Returns per-pair norms of both evaluations.
+    """
+    out = []
+    for i, t1 in enumerate(thetas):
+        rep1 = build_rep("rho_theta", q=q, theta=t1)
+        for j, t2 in enumerate(thetas):
+            if i == j:
+                continue
+            # R - e^{i t1}: the scalar is not rational, so assemble numerically
+            m1 = matrix(rep1, "R") - cmath.exp(1j * t1) * np.eye(1)
+            rep2 = build_rep("rho_theta", q=q, theta=t2)
+            m2 = matrix(rep2, "R") - cmath.exp(1j * t1) * np.eye(1)
+            out.append({
+                "theta_killed": t1,
+                "theta_other": t2,
+                "norm_in_own": float(np.abs(m1).max()),
+                "norm_in_other": float(np.abs(m2).max()),
+            })
+    return out
 
 
 def test_theta_separation():
