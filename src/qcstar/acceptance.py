@@ -78,18 +78,12 @@ def _crit_2_morphisms(cfg: RunConfig):
     return True, "F, rp2-inclusion exact; r1, r2 involutive automorphisms"
 
 
-def _build_pi_pm(cfg: RunConfig, dim=None):
-    d = dim or cfg.dim
-    return reps.direct_sum(reps.build_rep("pi_plus", cfg.q, d),
-                           reps.build_rep("pi_minus", cfg.q, d))
-
-
 def _crit_3a_residuals(cfg: RunConfig):
     tol = 1e-10
     worst = {}
-    for label, rep in (("rho_rp2", reps.build_rep("rho_rp2", cfg.q, cfg.dim)),
-                       ("pi_plus+pi_minus", _build_pi_pm(cfg))):
-        worst[label] = reps.relation_residuals(rep).max_residual()
+    for name in ("rho_rp2", "pi_pm"):
+        rep = reps.build_rep(name, cfg.q, cfg.dim)
+        worst[rep.name] = reps.relation_residuals(rep).max_residual()
     ok = all(v <= tol for v in worst.values())
     detail = ", ".join(f"{k}: {v:.2e}" for k, v in worst.items())
     return ok, detail + f" (tol {tol:g})"
@@ -97,10 +91,9 @@ def _crit_3a_residuals(cfg: RunConfig):
 
 def _crit_3b_residual_decay(cfg: RunConfig):
     ratios = []
-    for builder in (lambda d: reps.build_rep("rho_rp2", cfg.q, d),
-                    lambda d: _build_pi_pm(cfg, d)):
-        small = reps.relation_residuals(builder(32)).max_residual()
-        large = reps.relation_residuals(builder(64)).max_residual()
+    for name in ("rho_rp2", "pi_pm"):
+        small, large = (reps.relation_residuals(reps.build_rep(name, cfg.q, d))
+                        .max_residual() for d in (32, 64))
         ratios.append(small / large if large > 0 else float("inf"))
     ok = all(r >= 1e3 for r in ratios)
     detail = (f"decay ratios N=32 vs N=64: "
@@ -168,17 +161,11 @@ def _crit_6_snf_suite(cfg: RunConfig):
 
 
 def _soundness_rep_for(cfg: RunConfig, pname: str):
-    if pname == "sphere":
-        return _build_pi_pm(cfg)
-    if pname == "rp2":
-        return reps.build_rep("rho_rp2", cfg.q, cfg.dim)
-    if pname == "suq2_mod_b":
-        return reps.direct_sum(reps.build_rep("rho_plus", cfg.q, cfg.dim),
-                               reps.build_rep("rho_minus", cfg.q, cfg.dim))
     if pname == "disc":
-        return reps.compose_rep(_build_pi_pm(cfg),
+        return reps.compose_rep(reps.build_rep("pi_pm", cfg.q, cfg.dim),
                                 ncalgebra.builtin_morphism("disc-inclusion"))
-    raise ValueError(pname)
+    name = {"sphere": "pi_pm", "rp2": "rho_rp2", "suq2_mod_b": "rho_pm"}[pname]
+    return reps.build_rep(name, cfg.q, cfg.dim)
 
 
 # Criterion 7 decides on a high-precision bridge: basis coefficients of

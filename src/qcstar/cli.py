@@ -196,27 +196,9 @@ def _cmd_algebra(args) -> int:
     return 0
 
 
-REP_ALIASES = {"rho": "rho_rp2"}
-REP_SUMS = {"pi_pm": ("pi_plus", "pi_minus"),
-            "rho_pm": ("rho_plus", "rho_minus")}
-
-
-def _build_named_rep(name: str, q: float, dim: int, theta: float):
-    canonical = REP_ALIASES.get(name, name)
-    if canonical in REP_SUMS:
-        first, second = REP_SUMS[canonical]
-        return reps.direct_sum(reps.build_rep(first, q, dim),
-                               reps.build_rep(second, q, dim))
-    if canonical not in reps.REP_NAMES:
-        raise reps.RepresentationError(
-            f"unknown representation {name!r}; choose from "
-            f"{sorted([*REP_ALIASES, *REP_SUMS, *reps.REP_NAMES])}")
-    return reps.build_rep(canonical, q, dim, theta=theta)
-
-
 def _cmd_rep(args) -> int:
     if args.rep_cmd == "residuals":
-        rep = _build_named_rep(args.rep, args.q, args.dim, args.theta)
+        rep = reps.build_rep(args.rep, args.q, args.dim, theta=args.theta)
         if args.algebra and rep.presentation.name != args.algebra:
             raise reps.RepresentationError(
                 f"representation {args.rep} acts on {rep.presentation.name}, "
@@ -242,7 +224,7 @@ def _cmd_rep(args) -> int:
                f"({'ok' if ok else 'FAILED'})"])
         return 0 if ok else 1
     if args.rep_cmd == "spectrum":
-        rep = _build_named_rep(args.rep, args.q, args.dim, args.theta)
+        rep = reps.build_rep(args.rep, args.q, args.dim, theta=args.theta)
         report = reps.spectrum_check(rep, args.generator)
         ok = report.max_deviation <= args.tol
         payload = {

@@ -9,20 +9,24 @@ so all assertions restrict to a compressed block: rows and columns
 involved.  On that block the truncated operators agree exactly with the
 infinite model, and residuals are pure floating-point roundoff.
 
-Generators are stored as what they are, (displacement, weights) pairs
-(ShiftForm), and a word is applied shift by shift in O(N) per letter.
-One store serves two precisions: dps=None holds complex128 weights, a
-digit count holds fixed-point integers on a grid of 2^-B with B a little
-over dps digits, built from exact q with exact square roots, for checks
-whose cancellation exceeds float64's digits.  A dense matrix is formed
-only on request (evaluate).
+The weights of rho_plus, rho_minus and rho_rp2 are declared once, as
+rows of SHIFT_WEIGHTS: each is plus or minus a power of q times the
+square root of a product of edge factors 1 - q^(4n).  Generators are
+stored as what they are, (displacement, weights) pairs (ShiftForm), and
+a word is applied shift by shift in O(N) per letter.  One store serves
+two precisions, both read off the same rows: dps=None holds complex128
+weights, a digit count holds fixed-point integers on a grid of 2^-B
+with B a little over dps digits, built from exact q with exact square
+roots, for checks whose cancellation exceeds float64's digits.  A dense
+matrix is formed only on request (evaluate).
 
 The independence check for the projective-space basis monomials works in
 exact rational arithmetic.  Each basis monomial acts on e_n by a rational
 multiple of a single square root (exact_action walks its letters through
-rho_rp2's own weighted shifts), and the square root is shared by all
-monomials of the same displacement class, so it cancels from the linear
-systems and coefficient recovery reduces to exact Vandermonde solves.
+rho_rp2's rows, adding exponents of q), and the square root is shared by
+all monomials of the same displacement class, so it cancels from the
+linear systems and coefficient recovery reduces to exact Vandermonde
+solves.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -48,6 +50,24 @@ class RepresentationError(ValueError):
 
 REP_NAMES = ("rho_plus", "rho_minus", "pi_plus", "pi_minus",
              "rho_rp2", "rho_theta")
+REP_ALIASES = {"rho": "rho_rp2"}
+REP_SUMS = {"pi_pm": ("pi_plus", "pi_minus"),
+            "rho_pm": ("rho_plus", "rho_minus")}
+
+# The weighted shifts of the base representations, one row per generator:
+# (d, sign, slope, offset, edges) sends e_k to
+#     sign * q^(slope*k + offset) * sqrt(prod_{j in edges} (1 - q^(4(k-j))))
+# times e_{k+d}.  An adjoint has its own row: X* sends e_k to X's weight
+# of e_{k-d} times e_{k-d}, for X of displacement d.
+SHIFT_WEIGHTS = {
+    "rho_plus": {"a": (-1, 1, 0, 0, (0,)), "a*": (1, 1, 0, 0, (-1,)),
+                 "b": (0, 1, 2, 2, ())},
+    "rho_minus": {"a": (-1, 1, 0, 0, (0,)), "a*": (1, 1, 0, 0, (-1,)),
+                  "b": (0, -1, 2, 2, ())},
+    "rho_rp2": {"P": (0, 1, 4, 0, ()), "T": (-1, 1, 2, -2, (0,)),
+                "T*": (1, 1, 2, 0, (-1,)), "R": (-2, 1, 0, 0, (0, 1)),
+                "R*": (2, 1, 0, 0, (-2, -1))},
+}
 
 
 class Representation:
@@ -255,76 +275,31 @@ def _dense(shifts: dict[int, np.ndarray], dim: int) -> np.ndarray:
     return m
 
 
-_FLOAT64 = SimpleNamespace(sqrt=math.sqrt,
-                           expj=lambda t: cmath.exp(1j * t),
-                           conj=lambda z: z.conjugate(),
-                           weight=lambda v: v)
+def _float_weight(row, k: int, q: float) -> float:
+    """The float64 weight of e_k under a row of SHIFT_WEIGHTS."""
+    _, sign, slope, offset, edges = row
+    radicand = 1
+    for j in edges:
+        radicand *= 1 - q ** (4 * (k - j))
+    return sign * q ** (slope * k + offset) * math.sqrt(radicand)
 
 
-def _fixed_numbers(bits: int) -> SimpleNamespace:
-    """Exact rational formulas, square roots to 8 bits past the grid,
-    weights rounded once onto the grid 2^-bits."""
-    extra = bits + 8
-
-    def sqrt(x: Fraction) -> Fraction:
-        return Fraction(math.isqrt((x.numerator << 2 * extra) // x.denominator),
-                        1 << extra)
-
-    def expj(theta):
-        raise RepresentationError(
-            "rho_theta has complex weights and is evaluated in float64 only")
-
-    return SimpleNamespace(sqrt=sqrt, expj=expj, conj=None,
-                           weight=lambda v: round(v * (1 << bits)))
-
-
-class _Radical(tuple):
-    """(rational, radicand), standing for rational * sqrt(radicand): the
-    rational exact, the radicand a float.  An exact factor in front
-    scales the rational part."""
-
-    def __rmul__(self, factor):
-        return _Radical((factor * self[0], self[1]))
-
-
-# exact q, each weight kept as a _Radical (exact_action)
-_RADICALS = SimpleNamespace(
-    sqrt=lambda x: _Radical((Fraction(1), float(x))),
-    weight=lambda v: v if isinstance(v, _Radical) else (v, 1.0))
-
-
-def _adjoint(shift):
-    """(displacement, weight) of the adjoint of a real weighted shift."""
-    d, w = shift
-    return -d, lambda k: w(k - d)
-
-
-def _base_shifts(name: str, q, theta, num) -> dict[str, tuple[int, object]]:
-    """Displacement and weight function of every generator of a base rep.
-
-    One set of formulas serves every number type: float q with the math
-    functions in ``num`` gives the float64 weights, an exact Fraction q
-    with _fixed_numbers gives exact rationals and square roots that
-    ``num.weight`` rounds onto the fixed-point grid, and an exact q with
-    _RADICALS gives (exact rational, float radicand) pairs.
-    """
-    if name == "rho_theta":
-        z = num.expj(theta)
-        return {"P": (0, lambda k: 0.0), "T": (0, lambda k: 0.0),
-                "T*": (0, lambda k: 0.0),
-                "R": (0, lambda k: z), "R*": (0, lambda k: num.conj(z))}
-    if name in ("rho_plus", "rho_minus"):
-        sign = 1 if name == "rho_plus" else -1
-        a = (-1, lambda k: num.sqrt(1 - q ** (4 * k)))
-        return {"a": a, "a*": _adjoint(a),
-                "b": (0, lambda k: sign * q ** (2 * (k + 1)))}
-    if name == "rho_rp2":
-        t = (-1, lambda k: q ** (2 * (k - 1)) * num.sqrt(1 - q ** (4 * k)))
-        r = (-2, lambda k: num.sqrt(max((1 - q ** (4 * k))
-                                        * (1 - q ** (4 * (k - 1))), 0)))
-        return {"P": (0, lambda k: q ** (4 * k)), "T": t, "T*": _adjoint(t),
-                "R": r, "R*": _adjoint(r)}
-    raise RepresentationError(f"unknown representation {name!r}")
+def _fixed_weight(row, k: int, q: Fraction, bits: int) -> int:
+    """The weight of e_k under a row on the grid 2^-bits, in integers
+    with q = a/b: the square root to 8 bits past the grid, then one
+    rounding of the exact product, half to even as round() does."""
+    _, sign, slope, offset, edges = row
+    a, b = q.numerator, q.denominator
+    top = bottom = 1
+    for j in edges:
+        n = 4 * (k - j)
+        top, bottom = top * (b ** n - a ** n), bottom * b ** n
+    root = math.isqrt((top << 2 * (bits + 8)) // bottom)
+    # sign * q^e * root / 2^(bits + 8), in units of 2^-bits
+    e = slope * k + offset
+    den = b ** e << 8
+    floor, rest = divmod(sign * a ** e * root, den)
+    return floor + (2 * rest > den or (2 * rest == den and floor % 2))
 
 
 def build_rep(name: str, q: float = 0.5, dim: int = 64,
@@ -333,15 +308,37 @@ def build_rep(name: str, q: float = 0.5, dim: int = 64,
 
     rho_plus / rho_minus act on the self-adjoint quantum SU(2) quotient,
     pi_plus / pi_minus are their pullbacks to the sphere along the
-    isomorphism (structurally composed, not re-coded), rho_rp2 is the
-    infinite-dimensional projective-space representation, and rho_theta
-    is its one-dimensional circle family (theta is only used there).
+    isomorphism (structurally composed, not re-coded), rho_rp2 (alias
+    rho) is the infinite-dimensional projective-space representation,
+    and rho_theta is its one-dimensional circle family (theta is only
+    used there).  pi_pm and rho_pm are the direct sums in REP_SUMS.
     """
+    name = REP_ALIASES.get(name, name)
+    if name in REP_SUMS:
+        first, second = REP_SUMS[name]
+        return direct_sum(build_rep(first, q, dim), build_rep(second, q, dim))
+    if name not in REP_NAMES:
+        raise RepresentationError(
+            f"unknown representation {name!r}; choose from "
+            f"{sorted([*REP_ALIASES, *REP_SUMS, *REP_NAMES])}")
     if not 0.0 < q < 1.0:
         raise RepresentationError("q must lie strictly between 0 and 1")
     if name == "rho_theta":
-        dim = 1
-    elif dim < 4:
+        p = ncalgebra.presentation("rp2")
+        z = cmath.exp(1j * theta)
+
+        def build_theta(dps):
+            if dps is not None:
+                raise RepresentationError("rho_theta has complex weights "
+                                          "and is evaluated in float64 only")
+            weights = {"P": 0.0, "T": 0.0, "T*": 0.0, "R": z,
+                       "R*": z.conjugate()}
+            return q, {p.gen_index(g): {0: np.array([w], dtype=complex)}
+                       for g, w in weights.items()}
+
+        return Representation(p, name, q, build_theta, (1,), 0,
+                              spectra={"P": np.array([0.0])})
+    if dim < 4:
         raise RepresentationError("truncation dimension must be at least 4")
     if name in ("pi_plus", "pi_minus"):
         inner = build_rep("rho_plus" if name == "pi_plus" else "rho_minus",
@@ -350,27 +347,27 @@ def build_rep(name: str, q: float = 0.5, dim: int = 64,
         sign = 1.0 if name == "pi_plus" else -1.0
         rep.spectra["K"] = np.array([sign * q ** (2 * k) for k in range(dim)])
         return rep
-    shifts = _base_shifts(name, q, theta, _FLOAT64)
-    pname, shift_bound = {"rho_plus": ("suq2_mod_b", 1),
-                          "rho_minus": ("suq2_mod_b", 1),
-                          "rho_rp2": ("rp2", 2),
-                          "rho_theta": ("rp2", 0)}[name]
-    p = ncalgebra.presentation(pname)
-    diagonal = "b" if pname == "suq2_mod_b" else "P"
-    spectra = {diagonal: np.array([shifts[diagonal][1](k) for k in range(dim)])}
+    rows = SHIFT_WEIGHTS[name]
+    p = ncalgebra.presentation("rp2" if name == "rho_rp2" else "suq2_mod_b")
+    diagonal = "P" if name == "rho_rp2" else "b"
+    spectra = {diagonal: np.array([_float_weight(rows[diagonal], k, q)
+                                   for k in range(dim)])}
 
     def build(dps):
-        qx, num = ((q, _FLOAT64) if dps is None
-                   else (Fraction(q), _fixed_numbers(_grid_bits(dps))))
+        qx = q if dps is None else Fraction(q)
+        bits = None if dps is None else _grid_bits(dps)
         ops = {}
-        for g, (d, w) in _base_shifts(name, qx, theta, num).items():
+        for g, row in rows.items():
+            d = row[0]
             weights = _filled(dim, dps, 0)
             for k in range(max(0, -d), min(dim, dim - d)):
-                weights[k] = num.weight(w(k))
+                weights[k] = (_float_weight(row, k, q) if bits is None
+                              else _fixed_weight(row, k, qx, bits))
             ops[p.gen_index(g)] = {d: weights}
         return qx, ops
 
-    return Representation(p, name, q, build, (dim,), shift_bound,
+    return Representation(p, name, q, build, (dim,),
+                          max(abs(row[0]) for row in rows.values()),
                           spectra=spectra)
 
 
@@ -536,36 +533,11 @@ class BasisMonomial:
         if self.family == "PR*" and self.l == 0:
             raise RepresentationError("family PR* starts at l = 1")
 
-    def displacement(self) -> int:
-        if self.family == "PR":
-            return -2 * self.l
-        if self.family == "PR*":
-            return 2 * self.l
-        if self.family == "PRT":
-            return -1 - 2 * self.l
-        return 1 + 2 * self.l
-
     def word(self) -> tuple[str, ...]:
         """The monomial's letters, by generator name."""
         body = "R" if self.family in ("PR", "PRT") else "R*"
         tail = {"PRT": ("T",), "PR*T*": ("T*",)}.get(self.family, ())
         return ("P",) * self.k + (body,) * self.l + tail
-
-    def to_element(self, p: AlgebraPresentation) -> Element:
-        return p.word(*self.word())
-
-    def label(self) -> str:
-        bits = []
-        if self.k:
-            bits.append("P" if self.k == 1 else f"P^{self.k}")
-        if self.l:
-            base = "R" if self.family in ("PR", "PRT") else "R*"
-            bits.append(base if self.l == 1 else f"{base}^{self.l}")
-        if self.family == "PRT":
-            bits.append("T")
-        elif self.family == "PR*T*":
-            bits.append("T*")
-        return " ".join(bits) if bits else "1"
 
 
 def basis_monomials(kmax: int, lmax: int) -> tuple[BasisMonomial, ...]:
@@ -587,32 +559,24 @@ def exact_action(m: BasisMonomial, n: int, q: Fraction):
     Returns (out_index, rational, radicand) with
     matrix column entry = rational * sqrt(radicand), or None when the
     vector is annihilated.  The letters act right to left through
-    rho_rp2's own weighted shifts (_base_shifts at exact q), each weight
-    an exact rational times the square root of a float radicand, so the
-    rational part is exact and a letter of zero weight annihilates.  The
-    radicand depends only on (family, l, n), never on k; that is what
-    makes exact coefficient recovery possible.
+    rho_rp2's rows of SHIFT_WEIGHTS: their signs multiply, their
+    exponents of q add up, so the rational part is sign * q^e, exact,
+    and the radicand is the float product of their edge factors.  An
+    edge at or below the bottom of the ladder (a factor 1 - q^(4m) with
+    m <= 0) annihilates.  The radicand depends only on
+    (family, l, n), never on k; that is what makes exact coefficient
+    recovery possible.
     """
-    shifts = _rp2_radicals(q)
-    rational, radicand = Fraction(1), 1.0
+    rows, qf = SHIFT_WEIGHTS["rho_rp2"], float(q)
+    sign, exponent, radicand = 1, 0, 1.0
     for g in reversed(m.word()):
-        d, weight = shifts[g]
-        r, s = weight(n)
-        if s == 0:
-            return None
-        rational, radicand, n = rational * r, radicand * s, n + d
-    return n, rational, radicand
-
-
-@lru_cache(maxsize=8)
-def _rp2_radicals(q: Fraction) -> dict[str, tuple[int, object]]:
-    """rho_rp2's generators at exact q: displacement and weight function,
-    each (rational, radicand) weight computed once per source index."""
-    def memo(w):
-        return lru_cache(maxsize=None)(lambda k: _RADICALS.weight(w(k)))
-
-    shifts = _base_shifts("rho_rp2", q, None, _RADICALS)
-    return {g: (d, memo(w)) for g, (d, w) in shifts.items()}
+        d, s, slope, offset, edges = rows[g]
+        for j in edges:
+            if n <= j:
+                return None
+            radicand *= 1 - qf ** (4 * (n - j))
+        sign, exponent, n = sign * s, exponent + slope * n + offset, n + d
+    return n, sign * q ** exponent, radicand
 
 
 @dataclass(frozen=True)

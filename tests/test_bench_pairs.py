@@ -1,0 +1,48 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+RUN = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+ok = seed not in {bad}
+metrics = {{m: {{"value": 1.0, "unit": "s"}} for m in
+           ("wall_s", "setup_s", "slowest_op_s", "peak_rss_mb")}}
+print(json.dumps({{"correct": ok, "attempted": 3, "failed": 0 if ok else 1,
+                  "metrics": metrics}}))
+sys.exit(0 if ok else 1)
+"""
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fake_tree(root: Path, bad_seeds) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(RUN.format(bad=set(bad_seeds)))
+    return root
+
+
+def test_bad_change_runs_are_counted_and_fail_the_tool(tmp_path, monkeypatch):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "command", lambda workload, seed: [
+        sys.executable, "perfbench/run.py", "--seed", str(seed)])
+    parent = fake_tree(tmp_path / "parent", ())
+    change = fake_tree(tmp_path / "change", (2,))
+    out = tmp_path / "out.json"
+    argv = ["--parent", str(parent), "--change", str(change),
+            "--workload", "w", "--out", str(out), "--seeds"]
+    assert tool.main(argv + ["1", "2", "3"]) == 1
+    doc = json.loads(out.read_text())["workloads"]["w"]
+    assert doc["summary"]["bad_runs"] == {"parent": 0, "change": 1}
+    assert [p["exit_codes"] for p in doc["pairs"]] == [
+        {"parent": 0, "change": 0}, {"change": 1, "parent": 0},
+        {"parent": 0, "change": 0}]
+    out.unlink()
+    assert tool.main(argv + ["1", "3"]) == 0

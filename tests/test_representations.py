@@ -54,6 +54,23 @@ def test_build_rep_validation():
         build_rep("nonsense")
 
 
+def test_build_rep_named_sums_and_alias():
+    assert build_rep("rho", q=Q, dim=8).name == "rho_rp2"
+    both = build_rep("pi_pm", q=Q, dim=8)
+    assert both.name == "pi_plus+pi_minus" and both.block_dims == (8, 8)
+    assert build_rep("rho_pm", q=Q, dim=8).presentation.name == "suq2_mod_b"
+    with pytest.raises(RepresentationError, match="choose from"):
+        build_rep("rho_+")
+
+
+def test_rho_theta_is_float64_only():
+    rep = build_rep("rho_theta", q=Q, theta=1.1)
+    assert rep.shift_form().ops
+    with pytest.raises(RepresentationError,
+                       match="complex weights and is evaluated in float64 only"):
+        rep.shift_form(30)
+
+
 def test_shift_structure():
     rep = build_rep("rho_plus", q=Q, dim=8)
     a = matrix(rep, "a")
@@ -384,11 +401,42 @@ def test_monomial_shapes():
         BasisMonomial(0, 0, "XX")
 
 
+def displacement(m):
+    """Index shift of a basis monomial: e_n goes to a multiple of
+    e_{n + displacement(m)}."""
+    if m.family == "PR":
+        return -2 * m.l
+    if m.family == "PR*":
+        return 2 * m.l
+    if m.family == "PRT":
+        return -1 - 2 * m.l
+    return 1 + 2 * m.l
+
+
+def to_element(m, p):
+    return p.word(*m.word())
+
+
+def label(m):
+    bits = []
+    if m.k:
+        bits.append("P" if m.k == 1 else f"P^{m.k}")
+    if m.l:
+        base = "R" if m.family in ("PR", "PRT") else "R*"
+        bits.append(base if m.l == 1 else f"{base}^{m.l}")
+    if m.family == "PRT":
+        bits.append("T")
+    elif m.family == "PR*T*":
+        bits.append("T*")
+    return " ".join(bits) if bits else "1"
+
+
 def test_monomial_displacements_partition():
     fam = basis_monomials(3, 3)
     seen = {}
     for m in fam:
-        seen.setdefault((m.family, m.l), m.displacement())
+        seen.setdefault((m.family, m.l), displacement(m))
+        assert exact_action(m, 10, Fraction(1, 2))[0] == 10 + displacement(m)
     # displacement classes are pairwise distinct across (family, l)
     assert len(set(seen.values())) == len(seen)
 
@@ -396,9 +444,9 @@ def test_monomial_displacements_partition():
 def test_monomial_labels_and_elements():
     p = presentation("rp2")
     m = BasisMonomial(2, 1, "PRT")
-    assert m.label() == "P^2 R T"
-    assert m.to_element(p) == p.word("P", "P", "R", "T")
-    assert BasisMonomial(0, 0, "PR").label() == "1"
+    assert label(m) == "P^2 R T"
+    assert to_element(m, p) == p.word("P", "P", "R", "T")
+    assert label(BasisMonomial(0, 0, "PR")) == "1"
 
 
 def test_exact_action_matches_matrices():
@@ -406,7 +454,7 @@ def test_exact_action_matches_matrices():
     p = rep.presentation
     qf = Fraction(1, 2)
     for m in basis_monomials(2, 2):
-        mat = evaluate(m.to_element(p), rep)
+        mat = evaluate(to_element(m, p), rep)
         for n in range(14):
             col = mat[:, n]
             hit = exact_action(m, n, qf)
@@ -465,14 +513,13 @@ def reference_exact_action(m, n, q):
     return out, rational, radicand
 
 
-def test_exact_action_matches_closed_forms():
-    # 60 monomials x 61 inputs x 3 values of q; exact decimal q keeps the
-    # reference's exact radicand products small (a float-derived 0.3 has
-    # a 54-bit denominator and makes them 40 times slower)
+def check_against_closed_forms(qs, monomials, n_max: int) -> int:
+    """Compare exact_action with reference_exact_action on every monomial
+    and input n <= n_max; returns the number of cases checked."""
     checked = 0
-    for q in (Fraction(1, 2), Fraction(3, 10), Fraction(9, 10)):
-        for m in basis_monomials(3, 3):
-            for n in range(61):
+    for q in qs:
+        for m in monomials:
+            for n in range(n_max + 1):
                 want = reference_exact_action(m, n, q)
                 got = exact_action(m, n, q)
                 checked += 1
@@ -481,7 +528,22 @@ def test_exact_action_matches_closed_forms():
                     continue
                 assert got[:2] == want[:2], (q, m, n)
                 assert abs(got[2] - float(want[2])) <= 1e-13 * float(want[2])
-    assert checked == 10_980
+    return checked
+
+
+def test_exact_action_matches_closed_forms():
+    # 60 monomials x 61 inputs x 3 values of q; exact decimal q keeps the
+    # reference's exact radicand products small (a float-derived 0.3 has
+    # a 54-bit denominator and makes them 40 times slower)
+    qs = (Fraction(1, 2), Fraction(3, 10), Fraction(9, 10))
+    assert check_against_closed_forms(qs, basis_monomials(3, 3), 60) == 10_980
+
+
+def test_exact_action_matches_closed_forms_at_float_q():
+    # the float-derived q that --q 0.3 gives independence_check, on a
+    # family and range cut so the reference takes about a second
+    assert check_against_closed_forms((Fraction(0.3),), basis_monomials(2, 2),
+                                      40) == 1353
 
 
 def test_independence_full_family():

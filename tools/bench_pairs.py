@@ -4,10 +4,12 @@ Runs ``python3 perfbench/run.py --workload W --seed S --seconds 18
 --trace 0`` in two checkouts for each seed in turn, the parent first
 for the first seed, the change first for the next, and so on, and
 keeps the last line of each run's standard output (the harness's
-result line) as it is.  The file written holds the command,
-the machine (cores, Python, numpy, load average before and after), every
-pair's two result lines, and per end-to-end metric the medians, the
-parent's quartiles and the number of pairs the change won:
+result line) as it is, with the run's exit code beside it.  The file
+written holds the command, the machine (cores, Python, numpy, load
+average before and after), every pair's two result lines, per
+end-to-end metric the medians, the parent's quartiles and the number of
+pairs the change won, and per side the number of bad runs (``correct``
+false or ``failed`` above 0):
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload reproduce --seeds 1 2 3 --out BENCH.json
@@ -15,6 +17,9 @@ parent's quartiles and the number of pairs the change won:
 Each checkout should be a fresh copy of its tree.  Several workloads
 may be given; their runs go into the same file.  An existing file is
 extended, so workloads can be measured in separate invocations.
+
+The exit code is 1 when a change-side run is not correct or fails more
+operations than the parent's run of its pair, after the file is written.
 """
 
 from __future__ import annotations
@@ -38,14 +43,19 @@ def command(workload: str, seed) -> list[str]:
             "--seed", str(seed), "--seconds", "18", "--trace", "0"]
 
 
-def run(tree: Path, workload: str, seed: int) -> dict:
+def run(tree: Path, workload: str, seed: int) -> tuple[dict, int]:
+    """The run's result line and its exit code."""
     done = subprocess.run(command(workload, seed), cwd=tree,
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                           text=True, check=False)
     lines = done.stdout.splitlines()
     if not lines:
         raise SystemExit(f"{tree}: no result line (exit code {done.returncode})")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), done.returncode
+
+
+def bad(result: dict) -> bool:
+    return not result["correct"] or result["failed"] > 0
 
 
 def summary(pairs: list[dict]) -> dict:
@@ -61,6 +71,8 @@ def summary(pairs: list[dict]) -> dict:
                      "change_range": [min(change), max(change)],
                      "change_lower_in": sum(c < p for p, c in zip(parent, change)),
                      "pairs": len(pairs)}
+    out["bad_runs"] = {side: sum(bad(p[side]) for p in pairs)
+                       for side in ("parent", "change")}
     return out
 
 
@@ -80,16 +92,22 @@ def main(argv=None) -> int:
                         "python": platform.python_version(),
                         "numpy": numpy.__version__},
             "workloads": {}})
+    worse = []
     for workload in args.workload:
         load_before = os.getloadavg()
         pairs = []
         for i, seed in enumerate(args.seeds):
             sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": sides[0]}
+            pair = {"seed": seed, "first": sides[0], "exit_codes": {}}
             for side in sides:
-                pair[side] = run(getattr(args, side), workload, seed)
+                pair[side], pair["exit_codes"][side] = run(
+                    getattr(args, side), workload, seed)
             pairs.append(pair)
             parent, change = pair["parent"], pair["change"]
+            if not change["correct"] or change["failed"] > parent["failed"]:
+                worse.append(f"{workload} seed {seed}: correct "
+                             f"{change['correct']}, failed {change['failed']} "
+                             f"(parent {parent['failed']})")
             print(workload, seed, *(f"{m} {parent['metrics'][m]['value']:.4g}"
                                     f" -> {change['metrics'][m]['value']:.4g}"
                                     for m in METRICS), file=sys.stderr)
@@ -98,7 +116,9 @@ def main(argv=None) -> int:
             "load_average": {"before": load_before, "after": os.getloadavg()},
             "pairs": pairs, "summary": summary(pairs)}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    for line in worse:
+        print(f"bad change run: {line}", file=sys.stderr)
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":
