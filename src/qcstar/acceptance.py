@@ -42,9 +42,13 @@ class RunConfig:
     dim: int = 64
     n_max: int = 40
     seed: int = 0
-    element_count: int = 200
-    matrix_count: int = 1000
-    recovery_trials: int = 100
+
+
+# Sample sizes: random elements of criteria 7 and 9, integer matrices of
+# criterion 6 and coefficient vectors recovered by criterion 5.
+ELEMENT_COUNT = 200
+MATRIX_COUNT = 1000
+RECOVERY_TRIALS = 100
 
 
 def _crit_1_k_groups(cfg: RunConfig):
@@ -121,7 +125,7 @@ def _crit_4_spectrum(cfg: RunConfig):
 def _crit_5_independence(cfg: RunConfig):
     fam = reps.basis_monomials(3, 3)
     report = reps.independence_check(fam, q=cfg.q, n_max=cfg.n_max,
-                                     trials=cfg.recovery_trials,
+                                     trials=RECOVERY_TRIALS,
                                      rng=random.Random(cfg.seed))
     ok = report.full_rank and report.recovery_max_error <= 1e-8
     return ok, (f"rank {report.rank}/{report.monomial_count}, "
@@ -132,7 +136,7 @@ def _crit_5_independence(cfg: RunConfig):
 def _crit_6_snf_suite(cfg: RunConfig):
     rng = random.Random(cfg.seed)
     coset_checked = 0
-    for trial in range(cfg.matrix_count):
+    for trial in range(MATRIX_COUNT):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         m = ktheory.IntegerMatrix(
@@ -155,7 +159,7 @@ def _crit_6_snf_suite(cfg: RunConfig):
             if by_cosets != claimed:
                 return False, (f"trial {trial}: coset enumeration gives "
                                f"{by_cosets}, SNF gives {claimed}")
-    return True, (f"{cfg.matrix_count} matrices: U*M*V=S, unimodular, chain ok; "
+    return True, (f"{MATRIX_COUNT} matrices: U*M*V=S, unimodular, chain ok; "
                   f"torsion matched minor-gcd oracle on all, literal coset "
                   f"enumeration on {coset_checked}")
 
@@ -181,12 +185,12 @@ def _crit_7_soundness(cfg: RunConfig):
     dps = SOUNDNESS_DIGITS
     problems = []
     summary = []
-    for pname in ("sphere", "disc", "rp2", "suq2_mod_b"):
+    for pname in ncalgebra.BUILTIN_PRESENTATIONS:
         p = ncalgebra.presentation(pname)
         rep = _soundness_rep_for(cfg, pname)
         rng = random.Random(cfg.seed)
         worst_float = worst_bridge = 0.0
-        for _ in range(cfg.element_count):
+        for _ in range(ELEMENT_COUNT):
             x = ncalgebra.random_element(p, rng, max_degree=6)
             nfx = p.normal_form(x)
             if not (p.normal_form(nfx) - nfx).is_zero():
@@ -231,13 +235,13 @@ def _crit_9_fixed_points(cfg: RunConfig):
     r1 = ncalgebra.builtin_morphism("r1")
     r2 = ncalgebra.builtin_morphism("r2")
     rng = random.Random(cfg.seed)
-    for i in range(cfg.element_count):
+    for i in range(ELEMENT_COUNT):
         x = ncalgebra.random_element(p, rng, max_degree=6)
         if ncalgebra.is_fixed(r1, x) != ncalgebra.even_generator_count(x, "K"):
             return False, f"element {i}: r1 fixedness != even K count"
         if ncalgebra.is_fixed(r2, x) != ncalgebra.even_word_length(x):
             return False, f"element {i}: r2 fixedness != even degree"
-    return True, (f"{cfg.element_count} elements: r1-fixed iff even K-degree, "
+    return True, (f"{ELEMENT_COUNT} elements: r1-fixed iff even K-degree, "
                   "r2-fixed iff even total degree")
 
 

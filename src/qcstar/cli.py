@@ -133,7 +133,12 @@ def _cmd_ktheory(args) -> int:
 
 
 def _parse_s(value: str | None):
-    return None if value is None else Fraction(value)
+    if value is None:
+        return None
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"--s has a zero denominator: {value!r}") from None
 
 
 def _cmd_algebra(args) -> int:
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     asub = pa.add_subparsers(dest="algebra_cmd", required=True)
     pnf = asub.add_parser("nf")
     pnf.add_argument("--algebra", required=True,
-                     choices=("sphere", "disc", "rp2", "suq2_mod_b"))
+                     choices=ncalgebra.BUILTIN_PRESENTATIONS)
     pnf.add_argument("--expr", required=True)
     pnf.add_argument("--s", default=None,
                      help="sphere parameter as a rational, e.g. 1/2")
@@ -348,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(pvm)
     pfx = asub.add_parser("fixed")
     pfx.add_argument("--algebra", default="sphere",
-                     choices=("sphere", "disc", "rp2", "suq2_mod_b"))
+                     choices=ncalgebra.BUILTIN_PRESENTATIONS)
     pfx.add_argument("--auto", required=True, choices=("r1", "r2"))
     pfx.add_argument("--expr", required=True)
     pfx.add_argument("--s", default=None)

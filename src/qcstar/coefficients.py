@@ -1,11 +1,15 @@
-"""Exact arithmetic: coefficients of the algebra engine, one elimination.
+"""Exact arithmetic: coefficients of the algebra engine, Fraction elimination.
 
 Every coefficient is a Laurent polynomial in the deformation parameter q
 with rational coefficients, stored sparsely by exponent.  All arithmetic
 is exact; floats only appear when a coefficient is evaluated at a numeric
-value of q.  gauss_jordan is the one exact linear elimination of the
-package: rational ranks in ktheory and coefficient recovery in
-representations both use it.
+value of q.  gauss_jordan is the package's Fraction elimination: rational
+ranks in ktheory and coefficient recovery in representations both use
+it.  ktheory.IntegerMatrix.determinant runs the other one, fraction-free
+(Bareiss) over the integers, which is the faster one on small integer
+minors.  The recovery systems stay with Fractions: at q = 0.3, Bareiss
+makes their many right-hand sides multiples of a determinant thousands
+of bits long, and takes three times as long.
 """
 
 from __future__ import annotations
@@ -125,10 +129,6 @@ class QLaurent:
         out = QLaurent.__new__(QLaurent)
         out._terms = {e * factor: c for e, c in self._terms.items()}
         return out
-
-    def conjugate(self) -> "QLaurent":
-        """Complex conjugate; coefficients are real so this is the identity."""
-        return self
 
     def evaluate(self, q):
         """Numeric value at a given q (float or complex)."""

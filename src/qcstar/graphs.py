@@ -11,7 +11,7 @@ map used for K-theory.  The text format is line oriented:
     edge f v w
 
 Sinks are allowed.  Multi-edges are allowed and distinguished by edge
-name.
+name.  The builtin graphs G1-G3 are stored as such texts (builtin_graph).
 """
 
 from __future__ import annotations
@@ -57,12 +57,6 @@ class Graph:
                 raise GraphError(f"edge {e.name!r} has undeclared source {e.source!r}")
             if e.range not in seen:
                 raise GraphError(f"edge {e.name!r} has undeclared target {e.range!r}")
-
-    def vertex_index(self, name: str) -> int:
-        try:
-            return self.vertices.index(name)
-        except ValueError:
-            raise GraphError(f"unknown vertex {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -130,31 +124,23 @@ def parse_graph(text: str) -> Graph:
     return Graph(tuple(vertices), tuple(edges))
 
 
-BUILTIN_GRAPHS = ("G1", "G2", "G3")
+# The three standard graphs, in parse_graph's format: a loop at v plus
+# edges to two sinks (G1, quantum sphere), to one sink (G2, quantum disc)
+# or a doubled edge to one sink (G3, quantum projective plane).
+_GRAPHS = {
+    "G1": "vertex v\nvertex w1\nvertex w2\n"
+          "edge e v v\nedge f1 v w1\nedge f2 v w2\n",
+    "G2": "vertex v\nvertex w\nedge e v v\nedge f v w\n",
+    "G3": "vertex v\nvertex w\nedge e v v\nedge g1 v w\nedge g2 v w\n",
+}
+BUILTIN_GRAPHS = tuple(_GRAPHS)
 
 
 def builtin_graph(name: str) -> Graph:
-    """The three standard graphs.
-
-    G1: loop at v plus edges to two sinks w1, w2 (quantum sphere).
-    G2: loop at v plus one edge to the sink w (quantum disc).
-    G3: loop at v plus a doubled edge to the sink w (quantum projective
-    plane).
-    """
-    if name == "G1":
-        return Graph(("v", "w1", "w2"),
-                     (Edge("e", "v", "v"),
-                      Edge("f1", "v", "w1"),
-                      Edge("f2", "v", "w2")))
-    if name == "G2":
-        return Graph(("v", "w"),
-                     (Edge("e", "v", "v"), Edge("f", "v", "w")))
-    if name == "G3":
-        return Graph(("v", "w"),
-                     (Edge("e", "v", "v"),
-                      Edge("g1", "v", "w"),
-                      Edge("g2", "v", "w")))
-    raise GraphError(f"unknown builtin graph {name!r}")
+    """The named standard graph, one entry of _GRAPHS."""
+    if name not in _GRAPHS:
+        raise GraphError(f"unknown builtin graph {name!r}")
+    return parse_graph(_GRAPHS[name])
 
 
 def emitters(g: Graph) -> VertexSet:

@@ -52,10 +52,6 @@ class IntegerMatrix:
         return cls(n, n, tuple(1 if i == j else 0
                                for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -67,12 +63,6 @@ class IntegerMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.cols, self.rows,
-                             tuple(self.entry(i, j)
-                                   for j in range(self.cols)
-                                   for i in range(self.rows)))
 
     def multiply(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
@@ -137,9 +127,6 @@ class AbelianGroup:
             if b % a != 0:
                 raise ValueError("torsion invariants must form a divisibility chain")
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def torsion_order(self) -> int:
         out = 1
         for d in self.torsion:
@@ -170,9 +157,6 @@ class SNFResult:
 
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal() if d != 0)
-
-    def rank(self) -> int:
-        return len(self.invariant_factors())
 
 
 def _swap_rows(a, u, i, j):

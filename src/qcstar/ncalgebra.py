@@ -1,22 +1,20 @@
 """Finitely presented *-algebras with exact noncommutative rewriting.
 
-Four quantum coordinate *-algebras are built in:
-
-  sphere      generators K, L (K self-adjoint), quantum 2-sphere with a
-              rational radius-type parameter s in [0, 1] (default 1)
-  disc        generator x, the quantum disc
-  rp2         generators P, R, T (P self-adjoint), quantum real
-              projective space
-  suq2_mod_b  generators a, b (b self-adjoint), the quantum SU(2) in the
-              squared-parameter convention with its b-generator made
-              self-adjoint
+Four quantum coordinate *-algebras are built in, one row each of
+BUILTIN_PRESENTATIONS: the quantum 2-sphere (sphere, with a rational
+radius-type parameter s in [0, 1], default 1), the quantum disc (disc),
+quantum real projective space (rp2) and the quantum SU(2) in the
+squared-parameter convention with its b-generator made self-adjoint
+(suq2_mod_b).  A generator named X* is the adjoint of X, and one without
+a starred partner is self-adjoint.
 
 Each presentation carries rewriting rules oriented by a degree-lexicographic
 monomial order, so every element has a normal form supported on an explicit
 monomial basis.  Coefficients are exact Laurent polynomials in q over the
-rationals.  Generator maps between presentations (morphisms, the order-two
-automorphisms of the sphere, and the inclusions) are verified by reducing
-the image of every defining relation to normal form.
+rationals.  Generator maps between presentations (the rows of _MORPHISMS:
+an isomorphism, the order-two automorphisms of the sphere, and two
+inclusions) are verified by reducing the image of every defining relation
+to normal form.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coefficients import QLaurent
-
-DEFAULT_STEP_BUDGET = 10 ** 6
 
 
 class ExpressionError(ValueError):
@@ -61,25 +57,12 @@ class Element:
         """Copy of the underlying word -> coefficient mapping."""
         return dict(self._terms)
 
-    def named_terms(self) -> list[tuple[tuple[str, ...], QLaurent]]:
-        """Terms with words spelled by generator names, in monomial order."""
-        p = self.presentation
-        out = []
-        for w in sorted(self._terms, key=p.deglex_key):
-            out.append((tuple(p.generators[i] for i in w), self._terms[w]))
-        return out
-
     def is_zero(self) -> bool:
         return not self._terms
 
     def degree(self) -> int:
         """Length of the longest word (0 for the zero element)."""
         return max((len(w) for w in self._terms), default=0)
-
-    def coefficient(self, *gen_names: str) -> QLaurent:
-        """Coefficient of the word spelled by the given generator names."""
-        word = tuple(self.presentation.gen_index(n) for n in gen_names)
-        return self._terms.get(word, QLaurent.zero())
 
     def _check_mate(self, other: "Element") -> None:
         if self.presentation is not other.presentation:
@@ -141,14 +124,14 @@ class Element:
                        {w: c * scalar for w, c in self._terms.items()})
 
     def star(self) -> "Element":
-        """Involution: reverse each word, star each letter, conjugate scalars."""
+        """Involution: reverse each word and star each letter; the
+        coefficients are real, so they stay as they are."""
         p = self.presentation
         out: dict[tuple[int, ...], QLaurent] = {}
         for w, c in self._terms.items():
             sw = tuple(p._star_idx[i] for i in reversed(w))
             s = out.get(sw)
-            cc = c.conjugate()
-            s = cc if s is None else s + cc
+            s = c if s is None else s + c
             if s:
                 out[sw] = s
             else:
@@ -189,29 +172,34 @@ class Rule:
 
 
 class AlgebraPresentation:
-    """A named generating set, involution table, and oriented rule list.
+    """A named generating set and oriented rule list.
 
-    The monomial order is degree-lexicographic with generator precedence
+    The involution is read off the generator names: X* is the adjoint of
+    X, and a generator without a starred partner is self-adjoint.  The
+    monomial order is degree-lexicographic with generator precedence
     given by position in ``generators``.  Every rule must be strictly
     decreasing in that order; the constructor enforces this, which is
-    what guarantees termination of normal_form.
+    what guarantees termination of normal_form.  Each reduction may take
+    at most step_budget rewrite steps.
     """
 
+    step_budget = 10 ** 6
+
     def __init__(self, name: str, generators: tuple[str, ...],
-                 star_map: dict[str, str],
-                 rules_spec, params: dict | None = None,
-                 step_budget: int = DEFAULT_STEP_BUDGET):
+                 rules_spec, params: dict | None = None):
         self.name = name
         self.generators = tuple(generators)
         self.params = dict(params or {})
-        self.step_budget = step_budget
         self._index = {g: i for i, g in enumerate(self.generators)}
         if len(self._index) != len(self.generators):
             raise PresentationError("duplicate generator name")
-        for g, h in star_map.items():
-            if g not in self._index or h not in self._index:
-                raise PresentationError(f"star table mentions unknown generator {g!r}")
-        self._star_idx = tuple(self._index[star_map[g]] for g in self.generators)
+        star = []
+        for g in self.generators:
+            partner = g[:-1] if g.endswith("*") else g + "*"
+            if g.endswith("*") and partner not in self._index:
+                raise PresentationError(f"generator {g!r} has no partner {partner!r}")
+            star.append(self._index.get(partner, self._index[g]))
+        self._star_idx = tuple(star)
 
         rules = []
         for left_names, right_names in rules_spec:
@@ -309,31 +297,16 @@ class AlgebraPresentation:
                 stack.append((prefix + rword + suffix, coeff * rcoeff))
         return Element(self, result)
 
-    def is_normal_word(self, word) -> bool:
-        """True when no rule's left side occurs as a subword."""
-        if word and isinstance(word[0], str):
-            word = tuple(self.gen_index(n) for n in word)
-        return self._find_match(tuple(word)) is None
-
     def in_declared_basis(self, word) -> bool:
-        """Membership in the declared normal-form monomial family
-        (DECLARED_BASES)."""
+        """Membership in the declared normal-form monomial family (the
+        basis column of BUILTIN_PRESENTATIONS)."""
         if word and isinstance(word[0], str):
             word = tuple(self.gen_index(n) for n in word)
         try:
-            pattern = DECLARED_BASES[self.name]
+            pattern = BUILTIN_PRESENTATIONS[self.name][2]
         except KeyError:
             raise PresentationError(f"no declared basis for {self.name}") from None
         return re.fullmatch(pattern, "".join(map(str, word))) is not None
-
-    def check_star_closure(self) -> bool:
-        """Each rule's star reduces to zero, so the ideal is *-closed."""
-        for rule in self.rules:
-            lhs = Element(self, {rule.left: QLaurent.one()})
-            rhs = Element(self, dict(rule.right))
-            if not self.normal_form((lhs - rhs).star()).is_zero():
-                return False
-        return True
 
     # -- formatting and parsing ---------------------------------------------
 
@@ -585,7 +558,7 @@ _DISC_RULES = [
 # Quantum real projective space.  The commutation rules between T-type and
 # R-type letters are oriented so that irreducible words put the P block
 # first, then a pure R or R* block, then an optional trailing T or T*,
-# matching the monomial basis below.  That forces the precedence
+# matching its declared basis below.  That forces the precedence
 # P < R < R* < T < T* in the degree-lex order.
 _RP2_RULES = [
     (("T", "P"), {("P", "T"): _q(4)}),
@@ -616,16 +589,18 @@ _SUQ2_RULES = [
     (("b", "b"), {(): _r(1), ("a", "a*"): _r(-1)}),
 ]
 
-# The monomial basis each rule table above leaves irreducible, as a
-# regular expression over a word spelled with one digit per generator
-# index (the presentation's generator order).  Bergman's diamond lemma
-# makes the irreducible words a basis once check_local_confluence finds
-# no unresolved overlap; the tests check that they are exactly these.
-DECLARED_BASES = {
-    "sphere": "0*(1*|2*)",           # K^a L^b, K^a L*^c
-    "disc": "0*1*",                  # x^a x*^b
-    "rp2": "0*(1*3?|2*4?)",          # P^k R^l (T), P^k R*^l (T*)
-    "suq2_mod_b": "0*1*2?",          # a^i a*^j b^e, e <= 1
+# The built-in presentations, one row each: the generators in order of
+# precedence, the rules (the sphere's built from s) and the monomial basis
+# they leave irreducible, as a regular expression over a word spelled with
+# one digit per generator index.  Bergman's diamond lemma makes the
+# irreducible words a basis once check_local_confluence finds no
+# unresolved overlap; the tests check that they are exactly these.
+BUILTIN_PRESENTATIONS = {
+    "sphere": (("K", "L", "L*"), _sphere_rules, "0*(1*|2*)"),  # K^a L^b, K^a L*^c
+    "disc": (("x", "x*"), _DISC_RULES, "0*1*"),                # x^a x*^b
+    "rp2": (("P", "R", "R*", "T", "T*"), _RP2_RULES,
+            "0*(1*3?|2*4?)"),                    # P^k R^l (T), P^k R*^l (T*)
+    "suq2_mod_b": (("a", "a*", "b"), _SUQ2_RULES, "0*1*2?"),   # a^i a*^j b^e, e <= 1
 }
 
 
@@ -637,40 +612,23 @@ def presentation(name: str, s=None) -> AlgebraPresentation:
     the quantum sphere by c = (1/s - s)^-2, so s = 1 is c = infinity
     (the equator sphere) and s = 0 is c = 0 (the standard sphere).
     """
+    if name not in BUILTIN_PRESENTATIONS:
+        raise PresentationError(f"unknown presentation {name!r}")
     if name == "sphere":
         s = Fraction(1) if s is None else Fraction(s)
         if not 0 <= s <= 1:
             raise PresentationError("sphere parameter s must lie in [0, 1]")
-        return _cached_presentation(name, (s.numerator, s.denominator))
-    if s is not None:
+    elif s is not None:
         raise PresentationError(f"presentation {name!r} takes no parameter s")
-    if name in ("disc", "rp2", "suq2_mod_b"):
-        return _cached_presentation(name, None)
-    raise PresentationError(f"unknown presentation {name!r}")
+    return _cached_presentation(name, s)
 
 
 @lru_cache(maxsize=None)
-def _cached_presentation(name: str, s_key) -> AlgebraPresentation:
-    if name == "sphere":
-        s = Fraction(*s_key)
-        return AlgebraPresentation(
-            "sphere", ("K", "L", "L*"),
-            {"K": "K", "L": "L*", "L*": "L"},
-            _sphere_rules(s), params={"s": s})
-    if name == "disc":
-        return AlgebraPresentation(
-            "disc", ("x", "x*"), {"x": "x*", "x*": "x"}, _DISC_RULES)
-    if name == "rp2":
-        return AlgebraPresentation(
-            "rp2", ("P", "R", "R*", "T", "T*"),
-            {"P": "P", "R": "R*", "R*": "R", "T": "T*", "T*": "T"},
-            _RP2_RULES)
-    if name == "suq2_mod_b":
-        return AlgebraPresentation(
-            "suq2_mod_b", ("a", "a*", "b"),
-            {"a": "a*", "a*": "a", "b": "b"},
-            _SUQ2_RULES)
-    raise PresentationError(f"unknown presentation {name!r}")
+def _cached_presentation(name: str, s: Fraction | None) -> AlgebraPresentation:
+    generators, rules, _ = BUILTIN_PRESENTATIONS[name]
+    if s is None:
+        return AlgebraPresentation(name, generators, rules)
+    return AlgebraPresentation(name, generators, rules(s), params={"s": s})
 
 
 def normal_form(x: Element) -> Element:
@@ -771,46 +729,33 @@ class MorphismReport:
         return f"<MorphismReport {self.name}: {state}>"
 
 
-BUILTIN_MORPHISMS = ("F", "r1", "r2", "rp2-inclusion", "disc-inclusion")
+# The named generator maps between the built-in presentations, the sphere
+# at s = 1: name -> (source, target, images of the unstarred generators as
+# expressions in the target, q_scale).  F is an isomorphism, r1 and r2
+# are the order-two automorphisms of the sphere, and the inclusions embed
+# onto the subalgebras fixed by r2 (rp2) and r1 (disc, whose parameter is
+# the fourth power of the sphere's).
+_MORPHISMS = {
+    "F": ("sphere", "suq2_mod_b", {"K": "q^-2 b", "L": "a"}, 1),
+    "r1": ("sphere", "sphere", {"K": "-K", "L": "L"}, 1),
+    "r2": ("sphere", "sphere", {"K": "-K", "L": "-L"}, 1),
+    "rp2-inclusion": ("rp2", "sphere", {"P": "K^2", "R": "L^2", "T": "K L"}, 1),
+    "disc-inclusion": ("disc", "sphere", {"x": "L*"}, 4),
+}
+BUILTIN_MORPHISMS = tuple(_MORPHISMS)
 
 
 @lru_cache(maxsize=None)
 def builtin_morphism(name: str) -> GeneratorMap:
-    """Named generator maps between the built-in presentations.
-
-    F               sphere(s=1) -> suq2_mod_b, K -> q^-2 b, L -> a
-    r1, r2          the order-two automorphisms of sphere(s=1),
-                    r1: K -> -K, L -> L and r2: K -> -K, L -> -L
-    rp2-inclusion   rp2 -> sphere(s=1), P -> K^2, R -> L^2, T -> K L
-    disc-inclusion  disc -> sphere(s=1), x -> L*, with the disc parameter
-                    equal to the fourth power of the sphere parameter
-                    (exactly the subalgebra fixed by r1)
-    """
-    sphere = presentation("sphere")
-    if name == "F":
-        suq2 = presentation("suq2_mod_b")
-        return GeneratorMap("F", sphere, suq2, {
-            "K": suq2.gen("b").scale(QLaurent.q_power(-2)),
-            "L": suq2.gen("a"),
-        })
-    if name == "r1":
-        return GeneratorMap("r1", sphere, sphere,
-                            {"K": -sphere.gen("K"), "L": sphere.gen("L")})
-    if name == "r2":
-        return GeneratorMap("r2", sphere, sphere,
-                            {"K": -sphere.gen("K"), "L": -sphere.gen("L")})
-    if name == "rp2-inclusion":
-        rp2 = presentation("rp2")
-        return GeneratorMap("rp2-inclusion", rp2, sphere, {
-            "P": sphere.word("K", "K"),
-            "R": sphere.word("L", "L"),
-            "T": sphere.word("K", "L"),
-        })
-    if name == "disc-inclusion":
-        disc = presentation("disc")
-        return GeneratorMap("disc-inclusion", disc, sphere,
-                            {"x": sphere.gen("L*")}, q_scale=4)
-    raise PresentationError(f"unknown morphism {name!r}")
+    """The named generator map, one row of _MORPHISMS."""
+    try:
+        source, target, images, q_scale = _MORPHISMS[name]
+    except KeyError:
+        raise PresentationError(f"unknown morphism {name!r}") from None
+    target = presentation(target)
+    return GeneratorMap(name, presentation(source), target,
+                        {g: target.parse(text) for g, text in images.items()},
+                        q_scale)
 
 
 def is_fixed(auto: GeneratorMap, x: Element) -> bool:

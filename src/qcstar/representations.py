@@ -54,19 +54,23 @@ REP_ALIASES = {"rho": "rho_rp2"}
 REP_SUMS = {"pi_pm": ("pi_plus", "pi_minus"),
             "rho_pm": ("rho_plus", "rho_minus")}
 
-# The weighted shifts of the base representations, one row per generator:
-# (d, sign, slope, offset, edges) sends e_k to
+# The weighted shifts of the base representations: name -> (algebra, one
+# row per generator).  A row (d, sign, slope, offset, edges) sends e_k to
 #     sign * q^(slope*k + offset) * sqrt(prod_{j in edges} (1 - q^(4(k-j))))
 # times e_{k+d}.  An adjoint has its own row: X* sends e_k to X's weight
-# of e_{k-d} times e_{k-d}, for X of displacement d.
+# of e_{k-d} times e_{k-d}, for X of displacement d.  The generator of
+# displacement 0 is diagonal, with its weights as spectrum.
 SHIFT_WEIGHTS = {
-    "rho_plus": {"a": (-1, 1, 0, 0, (0,)), "a*": (1, 1, 0, 0, (-1,)),
-                 "b": (0, 1, 2, 2, ())},
-    "rho_minus": {"a": (-1, 1, 0, 0, (0,)), "a*": (1, 1, 0, 0, (-1,)),
-                  "b": (0, -1, 2, 2, ())},
-    "rho_rp2": {"P": (0, 1, 4, 0, ()), "T": (-1, 1, 2, -2, (0,)),
-                "T*": (1, 1, 2, 0, (-1,)), "R": (-2, 1, 0, 0, (0, 1)),
-                "R*": (2, 1, 0, 0, (-2, -1))},
+    "rho_plus": ("suq2_mod_b",
+                 {"a": (-1, 1, 0, 0, (0,)), "a*": (1, 1, 0, 0, (-1,)),
+                  "b": (0, 1, 2, 2, ())}),
+    "rho_minus": ("suq2_mod_b",
+                  {"a": (-1, 1, 0, 0, (0,)), "a*": (1, 1, 0, 0, (-1,)),
+                   "b": (0, -1, 2, 2, ())}),
+    "rho_rp2": ("rp2",
+                {"P": (0, 1, 4, 0, ()), "T": (-1, 1, 2, -2, (0,)),
+                 "T*": (1, 1, 2, 0, (-1,)), "R": (-2, 1, 0, 0, (0, 1)),
+                 "R*": (2, 1, 0, 0, (-2, -1))}),
 }
 
 
@@ -347,9 +351,9 @@ def build_rep(name: str, q: float = 0.5, dim: int = 64,
         sign = 1.0 if name == "pi_plus" else -1.0
         rep.spectra["K"] = np.array([sign * q ** (2 * k) for k in range(dim)])
         return rep
-    rows = SHIFT_WEIGHTS[name]
-    p = ncalgebra.presentation("rp2" if name == "rho_rp2" else "suq2_mod_b")
-    diagonal = "P" if name == "rho_rp2" else "b"
+    algebra, rows = SHIFT_WEIGHTS[name]
+    p = ncalgebra.presentation(algebra)
+    diagonal = next(g for g, row in rows.items() if row[0] == 0)
     spectra = {diagonal: np.array([_float_weight(rows[diagonal], k, q)
                                    for k in range(dim)])}
 
@@ -567,7 +571,7 @@ def exact_action(m: BasisMonomial, n: int, q: Fraction):
     (family, l, n), never on k; that is what makes exact coefficient
     recovery possible.
     """
-    rows, qf = SHIFT_WEIGHTS["rho_rp2"], float(q)
+    rows, qf = SHIFT_WEIGHTS["rho_rp2"][1], float(q)
     sign, exponent, radicand = 1, 0, 1.0
     for g in reversed(m.word()):
         d, s, slope, offset, edges = rows[g]

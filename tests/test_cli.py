@@ -113,6 +113,15 @@ def test_algebra_nf_past_the_step_budget_exits_two(capsys, monkeypatch):
     assert err == "qcstar: normal form in rp2 exceeded 3 rewrite steps\n"
 
 
+@pytest.mark.parametrize("command", [("nf", "--algebra", "sphere"),
+                                     ("fixed", "--auto", "r1")])
+def test_zero_denominator_s_exits_two(capsys, command):
+    rc, out, err = run(capsys, "algebra", *command, "--expr", "K",
+                       "--s", "1/0")
+    assert rc == 2 and out == ""
+    assert err == "qcstar: --s has a zero denominator: '1/0'\n"
+
+
 def test_algebra_nf_s_rejected_off_sphere(capsys):
     rc, _, err = run(capsys, "algebra", "nf",
                      "--algebra", "disc", "--expr", "x", "--s", "1/2")

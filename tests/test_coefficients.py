@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qcstar.coefficients import QLaurent
+from qcstar.ncalgebra import presentation
 
 
 def test_constructors_and_items():
@@ -45,8 +46,11 @@ def test_scale_exponents():
 
 
 def test_conjugate_is_identity_on_real_coefficients():
+    # coefficients are real, so the involution leaves them as they are
     a = QLaurent({-2: Fraction(1, 2), 3: 5})
-    assert a.conjugate() == a
+    p = presentation("sphere")
+    assert p.gen("K").scale(a).star() == p.gen("K").scale(a)
+    assert p.gen("L").scale(a).star() == p.gen("L*").scale(a)
 
 
 def test_evaluate():

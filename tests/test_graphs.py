@@ -35,7 +35,7 @@ def test_parse_basic():
     assert g.edges[0] == Edge("e", "v", "v")
     assert out_edges(g, "w1") == ()
     m = build_ag(g)
-    assert m.entry(g.vertex_index("w1"), 0) == 1   # one edge v -> w1
+    assert m.entry(vertex_index(g, "w1"), 0) == 1   # one edge v -> w1
     assert m.cols == 1   # w1 emits nothing, so it has no column
 
 
@@ -82,6 +82,27 @@ def test_builtin_names():
         builtin_graph("G4")
 
 
+# each builtin graph written out as a Graph
+BUILTIN_LITERALS = {
+    "G1": Graph(("v", "w1", "w2"),
+                (Edge("e", "v", "v"),
+                 Edge("f1", "v", "w1"),
+                 Edge("f2", "v", "w2"))),
+    "G2": Graph(("v", "w"),
+                (Edge("e", "v", "v"), Edge("f", "v", "w"))),
+    "G3": Graph(("v", "w"),
+                (Edge("e", "v", "v"),
+                 Edge("g1", "v", "w"),
+                 Edge("g2", "v", "w"))),
+}
+
+
+def test_builtin_graphs_equal_their_literals():
+    assert BUILTIN_GRAPHS == tuple(BUILTIN_LITERALS)
+    for name, g in BUILTIN_LITERALS.items():
+        assert builtin_graph(name) == g
+
+
 def test_builtin_shapes():
     g1 = builtin_graph("G1")
     assert g1.vertices == ("v", "w1", "w2")
@@ -91,7 +112,7 @@ def test_builtin_shapes():
     assert len(g2.edges) == 2
     g3 = builtin_graph("G3")
     assert g3.vertices == ("v", "w")
-    assert build_ag(g3).entry(g3.vertex_index("w"), 0) == 2
+    assert build_ag(g3).entry(vertex_index(g3, "w"), 0) == 2
 
 
 def test_vertex_set_ordering_and_containment():
@@ -181,6 +202,10 @@ def test_graph_validation_rejects_bad_construction():
 
 
 # -- brute-force references ----------------------------------------------------
+
+def vertex_index(g, name):
+    return g.vertices.index(name)
+
 
 def out_edges(g, vertex):
     return tuple(e for e in g.edges if e.source == vertex)

@@ -19,12 +19,30 @@ from qcstar.ktheory import (
 )
 
 
+def zeros(rows, cols):
+    return IntegerMatrix(rows, cols, (0,) * (rows * cols))
+
+
+def transpose(m):
+    return IntegerMatrix(m.cols, m.rows, tuple(m.entry(i, j)
+                                               for j in range(m.cols)
+                                               for i in range(m.rows)))
+
+
+def is_trivial(group):
+    return group.free_rank == 0 and not group.torsion
+
+
+def snf_rank(res):
+    return len(res.invariant_factors())
+
+
 def test_matrix_basics():
     m = IntegerMatrix.from_rows([[1, 2], [3, 4]])
     assert m.entry(1, 0) == 3
     assert m.row(0) == (1, 2)
     assert m.column(1) == (2, 4)
-    assert m.transpose().to_rows() == [[1, 3], [2, 4]]
+    assert transpose(m).to_rows() == [[1, 3], [2, 4]]
     assert m.determinant() == -2
     assert not m.is_unimodular()
     assert IntegerMatrix.identity(3).is_unimodular()
@@ -58,7 +76,7 @@ def test_abelian_group_str():
     assert str(AbelianGroup(2, ())) == "Z^2"
     assert str(AbelianGroup(1, (2,))) == "Z + Z_2"
     assert str(AbelianGroup(0, (2, 6))) == "Z_2 + Z_6"
-    assert AbelianGroup(0, ()).is_trivial()
+    assert is_trivial(AbelianGroup(0, ()))
     assert AbelianGroup(0, (2, 6)).torsion_order() == 12
 
 
@@ -92,7 +110,7 @@ def test_snf_known_columns():
 
 
 def test_snf_zero_and_identity():
-    z = IntegerMatrix.zeros(2, 2)
+    z = zeros(2, 2)
     res = check_snf(z)
     assert res.s == z
     assert res.u == IntegerMatrix.identity(2)
@@ -116,7 +134,7 @@ def test_snf_random_property_suite():
         m = IntegerMatrix.from_rows(
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
         res = check_snf(m)
-        assert res.rank() == rational_rank(m)
+        assert snf_rank(res) == rational_rank(m)
         claimed = 1
         for f in res.invariant_factors():
             claimed *= f
@@ -253,7 +271,7 @@ def test_image_size_mod_refuses_far_past_the_cap():
 
 def test_image_size_mod_trivial_span_against_caps_below_one():
     # the span always holds 0: one state, refused only by a cap below one
-    for m in (IntegerMatrix.zeros(2, 3), IntegerMatrix(2, 0, ()),
+    for m in (zeros(2, 3), IntegerMatrix(2, 0, ()),
               IntegerMatrix.from_rows([[7], [14]])):
         assert image_size_mod(m, 7, state_cap=1) == 1
         assert image_size_mod(m, 7, state_cap=0) is None
@@ -291,7 +309,7 @@ def test_cokernel_and_kernel():
     wide = IntegerMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
     assert cokernel(wide) == AbelianGroup(0, ())
     assert kernel(wide) == AbelianGroup(1, ())
-    z = IntegerMatrix.zeros(2, 3)
+    z = zeros(2, 3)
     assert cokernel(z) == AbelianGroup(2, ())
     assert kernel(z) == AbelianGroup(3, ())
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qcstar.coefficients import QLaurent
 from qcstar.ncalgebra import (
     BUILTIN_MORPHISMS,
     GeneratorMap,
@@ -22,6 +23,31 @@ def test_builtin_morphisms_verify(name):
     for label, residual in report.entries:
         assert residual.is_zero(), (name, label, str(residual))
     assert report.ok
+
+
+def hand_built_images():
+    """Each builtin map's images of the unstarred generators, built
+    element by element."""
+    sphere, suq2 = presentation("sphere"), presentation("suq2_mod_b")
+    return {
+        "F": {"K": suq2.gen("b").scale(QLaurent.q_power(-2)),
+              "L": suq2.gen("a")},
+        "r1": {"K": -sphere.gen("K"), "L": sphere.gen("L")},
+        "r2": {"K": -sphere.gen("K"), "L": -sphere.gen("L")},
+        "rp2-inclusion": {"P": sphere.word("K", "K"),
+                          "R": sphere.word("L", "L"),
+                          "T": sphere.word("K", "L")},
+        "disc-inclusion": {"x": sphere.gen("L*")},
+    }
+
+
+def test_builtin_images_equal_hand_built_elements():
+    want = hand_built_images()
+    assert BUILTIN_MORPHISMS == tuple(want)
+    for name, images in want.items():
+        m = builtin_morphism(name)
+        for g, image in images.items():
+            assert m.images[m.source.gen_index(g)] == image, (name, g)
 
 
 def test_unknown_morphism():

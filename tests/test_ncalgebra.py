@@ -9,6 +9,7 @@ from qcstar.ncalgebra import (
     MAX_POWER_LETTERS,
     MAX_POWER_TERMS,
     AlgebraPresentation,
+    Element,
     ExpressionError,
     PresentationError,
     RewriteBudgetError,
@@ -21,6 +22,42 @@ from qcstar.ncalgebra import (
 
 ALGEBRAS = ("sphere", "disc", "rp2", "suq2_mod_b")
 
+# each builtin algebra's involution, written out generator by generator
+STAR_TABLES = {
+    "sphere": {"K": "K", "L": "L*", "L*": "L"},
+    "disc": {"x": "x*", "x*": "x"},
+    "rp2": {"P": "P", "R": "R*", "R*": "R", "T": "T*", "T*": "T"},
+    "suq2_mod_b": {"a": "a*", "a*": "a", "b": "b"},
+}
+
+
+def coefficient(x, *gen_names):
+    """Coefficient of the word spelled by the given generator names."""
+    word = tuple(x.presentation.gen_index(n) for n in gen_names)
+    return x.terms().get(word, QLaurent.zero())
+
+
+def named_terms(x):
+    """Terms with words spelled by generator names, in monomial order."""
+    p, terms = x.presentation, x.terms()
+    return [(tuple(p.generators[i] for i in w), terms[w])
+            for w in sorted(terms, key=p.deglex_key)]
+
+
+def is_normal_word(p, word):
+    """True when no rule's left side occurs as a subword."""
+    return p._find_match(tuple(word)) is None
+
+
+def check_star_closure(p):
+    """Each rule's star reduces to zero, so the ideal is *-closed."""
+    for rule in p.rules:
+        relation = Element(p, {rule.left: QLaurent.one()}) - \
+            Element(p, dict(rule.right))
+        if not p.normal_form(relation.star()).is_zero():
+            return False
+    return True
+
 
 def test_presentation_lookup():
     for name in ALGEBRAS:
@@ -28,6 +65,8 @@ def test_presentation_lookup():
         assert p.name == name
     with pytest.raises(PresentationError):
         presentation("torus")
+    with pytest.raises(PresentationError, match="unknown presentation"):
+        presentation("torus", s=Fraction(1, 2))
     with pytest.raises(PresentationError):
         presentation("disc", s=Fraction(1, 2))
     with pytest.raises(PresentationError):
@@ -44,8 +83,8 @@ def test_element_arithmetic():
     p = presentation("sphere")
     k, l = p.gen("K"), p.gen("L")
     x = 2 * k + l * k - k.scale(QLaurent.q_power(2))
-    assert x.coefficient("K") == QLaurent({0: 2, 2: -1})
-    assert x.coefficient("L", "K") == QLaurent.one()
+    assert coefficient(x, "K") == QLaurent({0: 2, 2: -1})
+    assert coefficient(x, "L", "K") == QLaurent.one()
     assert (x - x).is_zero()
     assert (-x + x).is_zero()
     assert x.degree() == 2
@@ -181,7 +220,7 @@ def test_disc_normal_form():
     p = presentation("disc")
     assert p.normal_form(p.parse("x* x")) == p.parse("q x x* + 1 - q")
     nf = p.normal_form(p.parse("x* x* x x"))
-    for word, _ in nf.named_terms():
+    for word, _ in named_terms(nf):
         assert p.in_declared_basis(word)
 
 
@@ -240,7 +279,7 @@ def test_exhaustive_normal_form_properties(name, max_len):
         x = p.word(*names)
         nf = p.normal_form(x)
         # every monomial of a normal form lies in the declared basis
-        for word, _ in nf.named_terms():
+        for word, _ in named_terms(nf):
             assert p.in_declared_basis(word), (names, word)
         # reduction is idempotent
         assert p.normal_form(nf) == nf
@@ -257,7 +296,7 @@ def test_irreducible_words_are_exactly_the_declared_basis(name):
     p = presentation(name)
     for names in all_words(p, BASIS_CHECK_LENGTHS[name]):
         word = tuple(p.gen_index(g) for g in names)
-        assert p.is_normal_word(word) == p.in_declared_basis(word), names
+        assert is_normal_word(p, word) == p.in_declared_basis(word), names
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -271,7 +310,7 @@ def test_local_confluence_sphere_any_s(s):
 
 
 def test_in_declared_basis_needs_a_declared_basis():
-    p = AlgebraPresentation("bare", ("u",), {"u": "u"}, [])
+    p = AlgebraPresentation("bare", ("u",), [])
     with pytest.raises(PresentationError, match="no declared basis"):
         p.in_declared_basis(("u",))
 
@@ -279,14 +318,14 @@ def test_in_declared_basis_needs_a_declared_basis():
 def test_local_confluence_reports_a_suffix_prefix_overlap():
     # b b -> a overlaps itself in b b b, whose reducts a b and b a are
     # both irreducible
-    p = AlgebraPresentation("bb", ("a", "b"), {"a": "a", "b": "b"},
+    p = AlgebraPresentation("bb", ("a", "b"),
                             [(("b", "b"), {("a",): QLaurent.one()})])
     assert check_local_confluence(p) == [("b^3", p.parse("a b - b a"))]
 
 
 def test_local_confluence_reports_an_inclusion():
     # b a lies inside b b a: the first rule gives 0, the second b a -> a
-    p = AlgebraPresentation("bba", ("a", "b"), {"a": "a", "b": "b"},
+    p = AlgebraPresentation("bba", ("a", "b"),
                             [(("b", "b", "a"), {}),
                              (("b", "a"), {("a",): QLaurent.one()})])
     assert check_local_confluence(p) == [("b^2 a", -p.gen("a"))]
@@ -294,7 +333,23 @@ def test_local_confluence_reports_an_inclusion():
 
 @pytest.mark.parametrize("name", ALGEBRAS)
 def test_star_closure(name):
-    assert presentation(name).check_star_closure()
+    assert check_star_closure(presentation(name))
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_involution_is_read_off_the_generator_names(name):
+    p = presentation(name)
+    assert set(p.generators) == set(STAR_TABLES[name])
+    for g, adjoint in STAR_TABLES[name].items():
+        assert p.gen(g).star() == p.gen(adjoint), (name, g)
+
+
+def test_starred_generator_without_its_partner_rejected():
+    with pytest.raises(PresentationError, match="no partner 'u'"):
+        AlgebraPresentation("bad", ("v", "u*"), [])
+    p = AlgebraPresentation("mixed", ("u", "v", "u*"), [])
+    assert p.gen("u").star() == p.gen("u*")
+    assert p.gen("v").star() == p.gen("v")
 
 
 # -- construction-time validation and budget ------------------------------------
@@ -302,26 +357,24 @@ def test_star_closure(name):
 def test_rules_must_decrease_order():
     with pytest.raises(PresentationError):
         AlgebraPresentation(
-            "bad", ("u",), {"u": "u"},
-            [(("u",), {("u", "u"): QLaurent.one()})])
+            "bad", ("u",), [(("u",), {("u", "u"): QLaurent.one()})])
 
 
 def test_duplicate_generator_rejected():
     with pytest.raises(PresentationError):
-        AlgebraPresentation("bad", ("u", "u"), {"u": "u"}, [])
+        AlgebraPresentation("bad", ("u", "u"), [])
 
 
 def test_rewrite_budget():
     rules = [(("x*", "x"),
               {("x", "x*"): QLaurent.q_power(1),
                (): QLaurent({0: 1, 1: -1})})]
-    tiny = AlgebraPresentation("tiny", ("x", "x*"), {"x": "x*", "x*": "x"},
-                               rules, step_budget=4)
+    tiny = AlgebraPresentation("tiny", ("x", "x*"), rules)
+    tiny.step_budget = 4
     deep = tiny.word(*(["x*"] * 3 + ["x"] * 3))
     with pytest.raises(RewriteBudgetError):
         tiny.normal_form(deep)
-    roomy = AlgebraPresentation("roomy", ("x", "x*"), {"x": "x*", "x*": "x"},
-                                rules)
+    roomy = AlgebraPresentation("roomy", ("x", "x*"), rules)
     assert not roomy.normal_form(roomy.word(*(["x*"] * 3 + ["x"] * 3))).is_zero()
 
 
