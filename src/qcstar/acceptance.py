@@ -10,6 +10,7 @@ README for the analysis.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -150,7 +151,7 @@ def _crit_6_snf_suite(cfg: RunConfig):
         factors = snf.invariant_factors()
         if any(b % a for a, b in zip(factors, factors[1:])):
             return False, f"trial {trial}: divisibility chain broken: {factors}"
-        claimed = ktheory.cokernel(m).torsion_order()
+        claimed = math.prod(factors)
         if claimed != ktheory.torsion_order_by_minors(m):
             return False, f"trial {trial}: torsion disagrees with minor gcd oracle"
         by_cosets = ktheory.torsion_order_by_cosets(m, claimed)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -135,6 +136,15 @@ def _cmd_ktheory(args) -> int:
 def _parse_s(value: str | None):
     if value is None:
         return None
+    # Fraction builds 10**exponent before anything checks s, so refuse an
+    # exponent whose magnitude reaches Python's integer digit limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    exponent = re.search(r"e[-+]?([\d_]*)\s*$", value, re.IGNORECASE)
+    if limit and exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or 0) >= limit:
+            raise ValueError(f"--s spells a number of more than {limit} "
+                             f"digits: {value!r}")
     try:
         return Fraction(value)
     except ZeroDivisionError:

@@ -1,12 +1,14 @@
 """Exact integer linear algebra and K-groups of graph C*-algebras.
 
 Smith normal form with explicit unimodular transforms drives everything:
-cokernels give K0, kernels give K1.  All arithmetic uses Python integers
-and fractions, never floats, so the results are exact.  Oracles that
-share no code with the SNF (rational rank by Gaussian elimination,
-torsion order by determinantal divisors and by literal coset
-enumeration) are exposed for cross-checking it; the coset oracle takes
-its modulus from the claim it checks, so it is not independent of it.
+cokernels give K0, kernels give K1.  The form is computed on one working
+matrix that carries U and V beside M, so each row or column operation
+is one step on it.  All arithmetic uses Python integers and fractions,
+never floats, so the results are exact.  Oracles that share no code
+with the SNF (rational rank by Gaussian elimination, torsion order by
+determinantal divisors and by literal coset enumeration) are exposed
+for cross-checking it; the coset oracle takes its modulus from the
+claim it checks, so it is not independent of it.
 """
 
 from __future__ import annotations
@@ -46,11 +48,6 @@ class IntegerMatrix:
         if any(len(r) != m for r in rows):
             raise ValueError("ragged rows")
         return cls(n, m, tuple(operator.index(x) for r in rows for x in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(1 if i == j else 0
-                               for i in range(n) for j in range(n)))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -159,116 +156,69 @@ class SNFResult:
         return tuple(d for d in self.diagonal() if d != 0)
 
 
-def _swap_rows(a, u, i, j):
-    if i != j:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-
-def _swap_cols(a, v, i, j):
-    if i != j:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-
-def _row_sub(a, u, i, t, f):
-    if f:
-        at = a[t]
-        ai = a[i]
-        for j in range(len(ai)):
-            ai[j] -= f * at[j]
-        ut = u[t]
-        ui = u[i]
-        for j in range(len(ui)):
-            ui[j] -= f * ut[j]
-
-
-def _col_sub(a, v, j, t, f):
-    if f:
-        for row in a:
-            row[j] -= f * row[t]
-        for row in v:
-            row[j] -= f * row[t]
-
-
-def _select_pivot(a, t, rows, cols):
-    best = None
-    for i in range(t, rows):
-        ai = a[i]
-        for j in range(t, cols):
-            x = ai[j]
-            if x:
-                key = (abs(x), i, j)
-                if best is None or key < best:
-                    best = key
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
 def smith_normal_form(m: IntegerMatrix) -> SNFResult:
     """Diagonalize by unimodular row and column operations.
 
-    Pivot choice is the nonzero entry of least absolute value with
-    (row, col) tie-break, which makes U, S, V fully deterministic.
-    Diagonal entries come out nonnegative in a divisibility chain.
+    The work happens on one matrix [[M, I], [I, 0]]: row operations act
+    on its first ``rows`` rows, so U builds up in the right-hand block,
+    and column operations on its first ``cols`` columns, so V builds up
+    in the bottom block; U, S and V are sliced out at the end.  Pivot
+    choice is the nonzero entry of least absolute value with (row, col)
+    tie-break, which makes U, S, V fully deterministic.  Diagonal
+    entries come out nonnegative in a divisibility chain.
     """
     rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    u = IntegerMatrix.identity(rows).to_rows()
-    v = IntegerMatrix.identity(cols).to_rows()
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        if _select_pivot(a, t, rows, cols) is None:
-            break
+    w = ([list(m.row(i)) + [int(i == k) for k in range(rows)]
+          for i in range(rows)]
+         + [[int(j == k) for k in range(cols)] + [0] * rows
+            for j in range(cols)])
+    for t in range(min(rows, cols)):
         while True:
-            # clear row and column t, re-picking ever-smaller pivots
-            while True:
-                pi, pj = _select_pivot(a, t, rows, cols)
-                _swap_rows(a, u, t, pi)
-                _swap_cols(a, v, t, pj)
-                clean = True
-                for i in range(t + 1, rows):
-                    if a[i][t]:
-                        _row_sub(a, u, i, t, a[i][t] // a[t][t])
-                        if a[i][t]:
-                            clean = False
-                for j in range(t + 1, cols):
-                    if a[t][j]:
-                        _col_sub(a, v, j, t, a[t][j] // a[t][t])
-                        if a[t][j]:
-                            clean = False
-                if clean:
-                    break
-            # divisibility: the pivot must divide the remaining submatrix
-            d = a[t][t]
-            offender = None
+            best = 0
+            for i in range(t, rows):
+                wi = w[i]
+                for j in range(t, cols):
+                    x = abs(wi[j])
+                    if x and (x < best or not best):
+                        best, pi, pj = x, i, j
+            if not best:
+                break  # the rest is zero, and stays zero for every later t
+            w[t], w[pi] = w[pi], w[t]
+            for row in w:
+                row[t], row[pj] = row[pj], row[t]
+            # clear row and column t; a remainder means a smaller pivot
+            wt = w[t]
+            p = wt[t]
+            clean = True
             for i in range(t + 1, rows):
-                ai = a[i]
-                for j in range(t + 1, cols):
-                    if ai[j] % d:
-                        offender = i
-                        break
-                if offender is not None:
+                if w[i][t]:
+                    f = w[i][t] // p
+                    w[i] = [x - f * y for x, y in zip(w[i], wt)]
+                    clean = clean and not w[i][t]
+            for j in range(t + 1, cols):
+                if wt[j]:
+                    f = wt[j] // p
+                    for row in w:
+                        row[j] -= f * row[t]
+                    clean = clean and not wt[j]
+            if not clean:
+                continue
+            # the pivot must divide the rest: fold the first row it does
+            # not divide into row t and clear again
+            for i in range(t + 1, rows):
+                if any(x % p for x in w[i][t + 1:cols]):
+                    w[t] = [x + y for x, y in zip(wt, w[i])]
                     break
-            if offender is None:
+            else:
                 break
-            # fold the offending row into row t and redo the clearing
-            _row_sub(a, u, t, offender, -1)
-        if a[t][t] < 0:
-            for j in range(cols):
-                a[t][j] = -a[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
-        t += 1
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
 
-    return SNFResult(IntegerMatrix.from_rows(u) if rows else IntegerMatrix(0, 0, ()),
-                     IntegerMatrix.from_rows(a) if rows else IntegerMatrix(0, cols, ()),
-                     IntegerMatrix.from_rows(v) if cols else IntegerMatrix(0, 0, ()))
+    def block(top, bottom, left, right):
+        return IntegerMatrix(bottom - top, right - left, tuple(
+            x for row in w[top:bottom] for x in row[left:right]))
+    return SNFResult(block(0, rows, cols, cols + rows), block(0, rows, 0, cols),
+                     block(rows, rows + cols, 0, cols))
 
 
 def _cokernel_and_kernel(m: IntegerMatrix) -> tuple[AbelianGroup, AbelianGroup]:

@@ -19,7 +19,6 @@ to normal form.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -296,17 +295,6 @@ class AlgebraPresentation:
             for rword, rcoeff in rule.right.items():
                 stack.append((prefix + rword + suffix, coeff * rcoeff))
         return Element(self, result)
-
-    def in_declared_basis(self, word) -> bool:
-        """Membership in the declared normal-form monomial family (the
-        basis column of BUILTIN_PRESENTATIONS)."""
-        if word and isinstance(word[0], str):
-            word = tuple(self.gen_index(n) for n in word)
-        try:
-            pattern = BUILTIN_PRESENTATIONS[self.name][2]
-        except KeyError:
-            raise PresentationError(f"no declared basis for {self.name}") from None
-        return re.fullmatch(pattern, "".join(map(str, word))) is not None
 
     # -- formatting and parsing ---------------------------------------------
 

@@ -5,8 +5,12 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
-RUN = """import json, sys
+RUN = """import json, sys, time
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed in {slow}:
+    time.sleep(60)
+if seed in {silent}:
+    sys.exit(3)
 ok = seed not in {bad}
 metrics = {{m: {{"value": 1.0, "unit": "s"}} for m in
            ("wall_s", "setup_s", "slowest_op_s", "peak_rss_mb")}}
@@ -23,16 +27,22 @@ def load_tool():
     return module
 
 
-def fake_tree(root: Path, bad_seeds) -> Path:
+def fake_tree(root: Path, bad_seeds, slow=(), silent=()) -> Path:
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(RUN.format(bad=set(bad_seeds)))
+    (root / "perfbench" / "run.py").write_text(RUN.format(
+        bad=set(bad_seeds), slow=set(slow), silent=set(silent)))
     return root
 
 
-def test_bad_change_runs_are_counted_and_fail_the_tool(tmp_path, monkeypatch):
+def load_tool_on_fake_trees(monkeypatch):
     tool = load_tool()
     monkeypatch.setattr(tool, "command", lambda workload, seed: [
         sys.executable, "perfbench/run.py", "--seed", str(seed)])
+    return tool
+
+
+def test_bad_change_runs_are_counted_and_fail_the_tool(tmp_path, monkeypatch):
+    tool = load_tool_on_fake_trees(monkeypatch)
     parent = fake_tree(tmp_path / "parent", ())
     change = fake_tree(tmp_path / "change", (2,))
     out = tmp_path / "out.json"
@@ -46,3 +56,22 @@ def test_bad_change_runs_are_counted_and_fail_the_tool(tmp_path, monkeypatch):
         {"parent": 0, "change": 0}]
     out.unlink()
     assert tool.main(argv + ["1", "3"]) == 0
+
+
+def test_timed_out_and_silent_runs_are_bad_runs_not_the_end(tmp_path, monkeypatch):
+    # seed 2 sleeps past the timeout and seed 3 exits without a result
+    # line; both are kept, and the medians use seeds 1 and 4 only
+    tool = load_tool_on_fake_trees(monkeypatch)
+    monkeypatch.setattr(tool, "RUN_TIMEOUT", 2)
+    parent = fake_tree(tmp_path / "parent", ())
+    change = fake_tree(tmp_path / "change", (), slow=(2,), silent=(3,))
+    out = tmp_path / "out.json"
+    assert tool.main(["--parent", str(parent), "--change", str(change),
+                      "--workload", "w", "--out", str(out),
+                      "--seeds", "1", "2", "3", "4"]) == 1
+    doc = json.loads(out.read_text())["workloads"]["w"]
+    assert [(p["exit_codes"]["change"], p["change"] is None)
+            for p in doc["pairs"]] == [(0, False), ("timeout", True),
+                                       (3, True), (0, False)]
+    assert doc["summary"]["bad_runs"] == {"parent": 0, "change": 2}
+    assert doc["summary"]["wall_s"]["pairs"] == 2

@@ -122,6 +122,26 @@ def test_zero_denominator_s_exits_two(capsys, command):
     assert err == "qcstar: --s has a zero denominator: '1/0'\n"
 
 
+@pytest.mark.parametrize("s", ["1e-5000", "1e30000000"])
+def test_huge_s_exponent_exits_two_before_building_s(capsys, s):
+    # 10^5000 is past Python's 4300-digit limit; 10^30000000 would take
+    # minutes to build
+    rc, out, err = run(capsys, "algebra", "nf", "--algebra", "sphere",
+                       "--expr", "K", "--s", s)
+    assert rc == 2 and out == ""
+    assert err == f"qcstar: --s spells a number of more than 4300 digits: '{s}'\n"
+
+
+def test_s_exponents_within_the_limit_still_parse(capsys):
+    for s in ("1/2", "0.5", "5e-1"):
+        rc, out, _ = run_json(capsys, "algebra", "nf", "--algebra", "sphere",
+                              "--expr", "K", "--s", s)
+        assert rc == 0 and out["s"] == "1/2"
+    rc, out, _ = run_json(capsys, "algebra", "nf", "--algebra", "sphere",
+                          "--expr", "K", "--s", "1e-400")
+    assert rc == 0 and out["s"] == "1/1" + "0" * 400
+
+
 def test_algebra_nf_s_rejected_off_sphere(capsys):
     rc, _, err = run(capsys, "algebra", "nf",
                      "--algebra", "disc", "--expr", "x", "--s", "1/2")

@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from qcstar import ktheory
-from qcstar.graphs import Edge, Graph, builtin_graph, parse_graph
+from qcstar import acceptance, ktheory
+from qcstar.graphs import Edge, Graph, build_ag, builtin_graph, parse_graph
 from qcstar.ktheory import (
     AbelianGroup,
     IntegerMatrix,
@@ -17,6 +17,11 @@ from qcstar.ktheory import (
     torsion_order_by_cosets,
     torsion_order_by_minors,
 )
+
+
+def identity(n):
+    return IntegerMatrix(n, n, tuple(int(i == j)
+                                     for i in range(n) for j in range(n)))
 
 
 def zeros(rows, cols):
@@ -45,8 +50,8 @@ def test_matrix_basics():
     assert transpose(m).to_rows() == [[1, 3], [2, 4]]
     assert m.determinant() == -2
     assert not m.is_unimodular()
-    assert IntegerMatrix.identity(3).is_unimodular()
-    prod = m.multiply(IntegerMatrix.identity(2))
+    assert identity(3).is_unimodular()
+    prod = m.multiply(identity(2))
     assert prod == m
 
 
@@ -113,9 +118,9 @@ def test_snf_zero_and_identity():
     z = zeros(2, 2)
     res = check_snf(z)
     assert res.s == z
-    assert res.u == IntegerMatrix.identity(2)
-    assert res.v == IntegerMatrix.identity(2)
-    res = check_snf(IntegerMatrix.identity(3))
+    assert res.u == identity(2)
+    assert res.v == identity(2)
+    res = check_snf(identity(3))
     assert res.invariant_factors() == (1, 1, 1)
 
 
@@ -144,6 +149,168 @@ def test_snf_random_property_suite():
             assert by_cosets == claimed
 
 
+# -- Smith form: the reference with the transforms kept apart ------------------
+
+def _swap_rows(a, u, i, j):
+    if i != j:
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+
+def _swap_cols(a, v, i, j):
+    if i != j:
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+
+def _row_sub(a, u, i, t, f):
+    if f:
+        at = a[t]
+        ai = a[i]
+        for j in range(len(ai)):
+            ai[j] -= f * at[j]
+        ut = u[t]
+        ui = u[i]
+        for j in range(len(ui)):
+            ui[j] -= f * ut[j]
+
+
+def _col_sub(a, v, j, t, f):
+    if f:
+        for row in a:
+            row[j] -= f * row[t]
+        for row in v:
+            row[j] -= f * row[t]
+
+
+def _select_pivot(a, t, rows, cols):
+    best = None
+    for i in range(t, rows):
+        ai = a[i]
+        for j in range(t, cols):
+            x = ai[j]
+            if x:
+                key = (abs(x), i, j)
+                if best is None or key < best:
+                    best = key
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def reference_smith_normal_form(m):
+    """The same algorithm with M, U and V in three lists, each step
+    applied by a paired helper to the matrix and to U or V."""
+    rows, cols = m.rows, m.cols
+    a = m.to_rows()
+    u = identity(rows).to_rows()
+    v = identity(cols).to_rows()
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        if _select_pivot(a, t, rows, cols) is None:
+            break
+        while True:
+            # clear row and column t, re-picking ever-smaller pivots
+            while True:
+                pi, pj = _select_pivot(a, t, rows, cols)
+                _swap_rows(a, u, t, pi)
+                _swap_cols(a, v, t, pj)
+                clean = True
+                for i in range(t + 1, rows):
+                    if a[i][t]:
+                        _row_sub(a, u, i, t, a[i][t] // a[t][t])
+                        if a[i][t]:
+                            clean = False
+                for j in range(t + 1, cols):
+                    if a[t][j]:
+                        _col_sub(a, v, j, t, a[t][j] // a[t][t])
+                        if a[t][j]:
+                            clean = False
+                if clean:
+                    break
+            # divisibility: the pivot must divide the remaining submatrix
+            d = a[t][t]
+            offender = None
+            for i in range(t + 1, rows):
+                ai = a[i]
+                for j in range(t + 1, cols):
+                    if ai[j] % d:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            # fold the offending row into row t and redo the clearing
+            _row_sub(a, u, t, offender, -1)
+        if a[t][t] < 0:
+            for j in range(cols):
+                a[t][j] = -a[t][j]
+            for j in range(rows):
+                u[t][j] = -u[t][j]
+        t += 1
+
+    return ktheory.SNFResult(
+        IntegerMatrix.from_rows(u) if rows else IntegerMatrix(0, 0, ()),
+        IntegerMatrix.from_rows(a) if rows else IntegerMatrix(0, cols, ()),
+        IntegerMatrix.from_rows(v) if cols else IntegerMatrix(0, 0, ()))
+
+
+def assert_matches_reference(m):
+    got, want = smith_normal_form(m), reference_smith_normal_form(m)
+    # IntegerMatrix equality compares the shapes as well as the entries
+    assert (got.u, got.s, got.v) == (want.u, want.s, want.v), m
+
+
+def test_snf_matches_reference_on_seeded_matrices():
+    rng = random.Random(12)
+    for _ in range(1500):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        bound = rng.choice([1, 4, 40])
+        m = IntegerMatrix(rows, cols, tuple(
+            0 if rng.random() < 0.3 else rng.randint(-bound, bound)
+            for _ in range(rows * cols)))
+        assert_matches_reference(m)
+    # diagonals off the divisibility chain, which only the fold repairs
+    for _ in range(200):
+        rows, cols = rng.randint(2, 7), rng.randint(2, 7)
+        diagonal = [rng.choice([-1, 1]) * rng.randint(2, 12)
+                    for _ in range(min(rows, cols))]
+        assert_matches_reference(IntegerMatrix(rows, cols, tuple(
+            diagonal[i] if i == j else 0
+            for i in range(rows) for j in range(cols))))
+    for m in (IntegerMatrix(0, 5, ()), IntegerMatrix(4, 0, ()),
+              IntegerMatrix(0, 0, ()), zeros(3, 2),
+              IntegerMatrix.from_rows([[2, 0], [0, 3]]),
+              IntegerMatrix.from_rows([[-4, 0, 0], [0, 6, 0], [0, 0, 10]])):
+        assert_matches_reference(m)
+
+
+def random_multigraph(rng, n):
+    """One sink in ten; otherwise each target with probability 0.2,
+    joined by one to three parallel edges."""
+    names = [f"v{i}" for i in range(n)]
+    edges = []
+    for v in names:
+        if rng.random() < 0.1:
+            continue
+        for w in names:
+            if rng.random() < 0.2:
+                for _ in range(rng.randint(1, 3)):
+                    edges.append(Edge(f"e{len(edges)}", v, w))
+    return Graph(tuple(names), tuple(edges))
+
+
+def test_snf_matches_reference_on_graph_matrices():
+    rng = random.Random(40)
+    for n in (1, 2, 3, 5, 8, 13, 21, 27, 34, 40, 40):
+        assert_matches_reference(build_ag(random_multigraph(rng, n)))
+
+
 def test_torsion_oracle_known():
     m = IntegerMatrix.from_rows([[2, 0], [0, 4]])
     assert torsion_order_by_minors(m) == 8
@@ -158,7 +325,7 @@ def test_image_size_mod_state_cap_boundary():
     cyclic = IntegerMatrix.from_rows([[1]])
     assert image_size_mod(cyclic, 10, state_cap=10) == 10
     assert image_size_mod(cyclic, 10, state_cap=9) is None
-    square = IntegerMatrix.identity(2)
+    square = identity(2)
     assert image_size_mod(square, 5, state_cap=25) == 25
     assert image_size_mod(square, 5, state_cap=24) is None
     # 8192^5 > 2^63, so the keys are exact Python ints; the span is Z/2 x Z/4
@@ -265,8 +432,8 @@ def test_image_size_mod_multiples_past_int64():
 def test_image_size_mod_refuses_far_past_the_cap():
     # spans of 10^12 and 10^24 states: refused from the index of the
     # first cyclic extension, before any state is built
-    assert image_size_mod(IntegerMatrix.identity(1), 10 ** 12) is None
-    assert image_size_mod(IntegerMatrix.identity(4), 10 ** 6) is None
+    assert image_size_mod(identity(1), 10 ** 12) is None
+    assert image_size_mod(identity(4), 10 ** 6) is None
 
 
 def test_image_size_mod_trivial_span_against_caps_below_one():
@@ -276,7 +443,7 @@ def test_image_size_mod_trivial_span_against_caps_below_one():
         assert image_size_mod(m, 7, state_cap=1) == 1
         assert image_size_mod(m, 7, state_cap=0) is None
         assert reference_image_size_mod(m, 7, state_cap=0) is None
-    assert image_size_mod(IntegerMatrix.identity(1), 7, state_cap=0) is None
+    assert image_size_mod(identity(1), 7, state_cap=0) is None
 
 
 def test_coset_oracle_refutes_planted_over_claims():
@@ -349,6 +516,18 @@ def test_k_groups_reads_one_smith_form(monkeypatch):
     assert k_groups(builtin_graph("G3")) == (AbelianGroup(1, (2,)),
                                              AbelianGroup(0, ()))
     assert len(calls) == 1
+
+
+def test_criterion_6_reads_one_smith_form_per_matrix(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return smith_normal_form(m)
+    monkeypatch.setattr(ktheory, "smith_normal_form", counted)
+    ok, _ = acceptance._crit_6_snf_suite(acceptance.RunConfig())
+    assert ok
+    assert len(calls) == acceptance.MATRIX_COUNT
 
 
 def test_k_groups_odd_sphere_l59():

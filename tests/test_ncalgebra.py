@@ -1,11 +1,13 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from qcstar.coefficients import QLaurent
 from qcstar.ncalgebra import (
+    BUILTIN_PRESENTATIONS,
     MAX_POWER_LETTERS,
     MAX_POWER_TERMS,
     AlgebraPresentation,
@@ -47,6 +49,18 @@ def named_terms(x):
 def is_normal_word(p, word):
     """True when no rule's left side occurs as a subword."""
     return p._find_match(tuple(word)) is None
+
+
+def in_declared_basis(p, word):
+    """Membership in the declared normal-form monomial family (the
+    basis column of BUILTIN_PRESENTATIONS)."""
+    if word and isinstance(word[0], str):
+        word = tuple(p.gen_index(n) for n in word)
+    try:
+        pattern = BUILTIN_PRESENTATIONS[p.name][2]
+    except KeyError:
+        raise PresentationError(f"no declared basis for {p.name}") from None
+    return re.fullmatch(pattern, "".join(map(str, word))) is not None
 
 
 def check_star_closure(p):
@@ -221,7 +235,7 @@ def test_disc_normal_form():
     assert p.normal_form(p.parse("x* x")) == p.parse("q x x* + 1 - q")
     nf = p.normal_form(p.parse("x* x* x x"))
     for word, _ in named_terms(nf):
-        assert p.in_declared_basis(word)
+        assert in_declared_basis(p, word)
 
 
 def test_rp2_normal_forms():
@@ -280,7 +294,7 @@ def test_exhaustive_normal_form_properties(name, max_len):
         nf = p.normal_form(x)
         # every monomial of a normal form lies in the declared basis
         for word, _ in named_terms(nf):
-            assert p.in_declared_basis(word), (names, word)
+            assert in_declared_basis(p, word), (names, word)
         # reduction is idempotent
         assert p.normal_form(nf) == nf
         # star consistency: reducing commutes with the involution
@@ -296,7 +310,7 @@ def test_irreducible_words_are_exactly_the_declared_basis(name):
     p = presentation(name)
     for names in all_words(p, BASIS_CHECK_LENGTHS[name]):
         word = tuple(p.gen_index(g) for g in names)
-        assert is_normal_word(p, word) == p.in_declared_basis(word), names
+        assert is_normal_word(p, word) == in_declared_basis(p, word), names
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -312,7 +326,7 @@ def test_local_confluence_sphere_any_s(s):
 def test_in_declared_basis_needs_a_declared_basis():
     p = AlgebraPresentation("bare", ("u",), [])
     with pytest.raises(PresentationError, match="no declared basis"):
-        p.in_declared_basis(("u",))
+        in_declared_basis(p, ("u",))
 
 
 def test_local_confluence_reports_a_suffix_prefix_overlap():
