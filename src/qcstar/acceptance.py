@@ -128,10 +128,9 @@ def _crit_5_independence(cfg: RunConfig):
     report = reps.independence_check(fam, q=cfg.q, n_max=cfg.n_max,
                                      trials=RECOVERY_TRIALS,
                                      rng=random.Random(cfg.seed))
-    ok = report.full_rank and report.recovery_max_error <= 1e-8
-    return ok, (f"rank {report.rank}/{report.monomial_count}, "
-                f"recovery max error {report.recovery_max_error:.1e} over "
-                f"{report.recovery_trials} random vectors")
+    return report.ok(), (f"rank {report.rank}/{report.monomial_count}, "
+                         f"recovery max error {report.recovery_max_error:.1e} "
+                         f"over {report.recovery_trials} random vectors")
 
 
 def _crit_6_snf_suite(cfg: RunConfig):

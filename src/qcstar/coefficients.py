@@ -37,10 +37,6 @@ class QLaurent:
         self._terms = clean
 
     @classmethod
-    def zero(cls) -> "QLaurent":
-        return cls()
-
-    @classmethod
     def one(cls) -> "QLaurent":
         return cls({0: 1})
 
@@ -55,9 +51,6 @@ class QLaurent:
     def items(self) -> list[tuple[int, Fraction]]:
         """Terms as (exponent, coefficient) pairs, sorted by exponent."""
         return sorted(self._terms.items())
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)

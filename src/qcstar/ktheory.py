@@ -124,12 +124,6 @@ class AbelianGroup:
             if b % a != 0:
                 raise ValueError("torsion invariants must form a divisibility chain")
 
-    def torsion_order(self) -> int:
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
-
     def __str__(self):
         parts = []
         if self.free_rank == 1:

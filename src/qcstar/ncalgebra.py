@@ -137,9 +137,6 @@ class Element:
                 out.pop(sw, None)
         return Element(p, out)
 
-    def normal_form(self) -> "Element":
-        return self.presentation.normal_form(self)
-
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
@@ -617,10 +614,6 @@ def _cached_presentation(name: str, s: Fraction | None) -> AlgebraPresentation:
     if s is None:
         return AlgebraPresentation(name, generators, rules)
     return AlgebraPresentation(name, generators, rules(s), params={"s": s})
-
-
-def normal_form(x: Element) -> Element:
-    return x.presentation.normal_form(x)
 
 
 # -- generator maps ------------------------------------------------------------

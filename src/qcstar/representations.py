@@ -25,8 +25,9 @@ exact rational arithmetic.  Each basis monomial acts on e_n by a rational
 multiple of a single square root (exact_action walks its letters through
 rho_rp2's rows, adding exponents of q), and the square root is shared by
 all monomials of the same displacement class, so it cancels from the
-linear systems and coefficient recovery reduces to exact Vandermonde
-solves.
+linear systems.  The family's rank and the recovery of its coefficients
+are both read off one exact Vandermonde elimination per class; no float
+decides either.
 """
 
 from __future__ import annotations
@@ -83,7 +84,11 @@ class Representation:
     build(dps) constructs the generators under the working precision of
     dps and returns (q, ops): q as a float for dps=None and exact at dps
     digits otherwise, ops[i] the weighted shifts of generator i (see
-    ShiftForm).  shift_form(dps) calls it once per precision.
+    ShiftForm).  shift_form(dps) calls it once per precision.  The
+    closure refers to the representations this one is made of, never to
+    this one, so the cached forms hold no reference back to it: a
+    representation's weights are freed with its last reference, not left
+    for the cycle collector.
     """
 
     def __init__(self, presentation: AlgebraPresentation, name: str,
@@ -115,8 +120,8 @@ class Representation:
         """The generators as weighted shifts: complex128 for dps=None,
         fixed-point integers good to dps digits otherwise."""
         if dps not in self._shift_forms:
-            q, ops = self._build(dps)
-            self._shift_forms[dps] = ShiftForm(self, dps, q, ops)
+            self._shift_forms[dps] = ShiftForm(self.presentation, self.dim,
+                                               dps, self._build)
         return self._shift_forms[dps]
 
 
@@ -157,15 +162,18 @@ class ShiftForm:
     compare the integers directly.
     """
 
-    def __init__(self, rep: Representation, dps: int | None, q, ops):
-        self.rep = rep
+    def __init__(self, presentation: AlgebraPresentation, dim: int,
+                 dps: int | None, build):
+        self.presentation = presentation
+        self.dim = dim
         self.dps = dps
         self.bits = None if dps is None else _grid_bits(dps)
         self.unit = 1 if dps is None else 1 << self.bits
-        self.q = q
-        self.ops = ops
+        self.q, self.ops = build(dps)
+        self._build = build
+        self._finer: dict[int, ShiftForm] = {}
         self._words: dict[tuple[int, ...], dict[int, np.ndarray]] = {
-            (): {0: _filled(rep.dim, dps, 1)}}
+            (): {0: _filled(dim, dps, 1)}}
 
     def _word(self, word: tuple[int, ...]) -> dict[int, np.ndarray]:
         # letters act right to left: the word is its first letter applied
@@ -179,10 +187,10 @@ class ShiftForm:
         """displacement -> weights of the operator of x, in the store's
         own numbers (complex128, or integers on the 2^-B grid within
         2^-(B - GUARD_BITS) of the exact operator)."""
-        if x.presentation is not self.rep.presentation:
+        if x.presentation is not self.presentation:
             raise RepresentationError(
                 f"element over {x.presentation.name} fed to a representation "
-                f"of {self.rep.presentation.name}")
+                f"of {self.presentation.name}")
         if self.dps is None:
             return self._combine({word: coeff.evaluate(self.q)
                                   for word, coeff in x.terms().items()})
@@ -196,7 +204,11 @@ class ShiftForm:
         if excess <= 0:
             return self._combine(coeffs)
         # ten more digits refine the grid by at least 33 bits
-        fine = self.rep.shift_form(self.dps + 10 * math.ceil(excess / 33))
+        dps = self.dps + 10 * math.ceil(excess / 33)
+        if dps not in self._finer:
+            self._finer[dps] = ShiftForm(self.presentation, self.dim, dps,
+                                         self._build)
+        fine = self._finer[dps]
         out = fine._combine({word: _on_grid(coeff, fine.q, fine.unit)
                              for word, coeff in x.terms().items()})
         return {d: w >> (fine.bits - self.bits) for d, w in out.items()}
@@ -443,17 +455,17 @@ class ResidualReport:
         return self.max_residual() <= tol
 
 
-def _compressed_max(form: ShiftForm, fx: dict[int, np.ndarray],
+def _compressed_max(rep: Representation, unit: int, fx: dict[int, np.ndarray],
                     fy: dict[int, np.ndarray], margin: int) -> float:
-    """Max |entry| of the operator fx - fy on the compressed block, both
-    in the store's own numbers."""
-    good = np.zeros(form.rep.dim, dtype=bool)
-    good[form.rep.good_indices(margin)] = True
+    """Max |entry| of the operator fx - fy on rep's compressed block, both
+    in the store's own numbers, unit of them making 1."""
+    good = np.zeros(rep.dim, dtype=bool)
+    good[rep.good_indices(margin)] = True
     worst = 0.0
     for d in set(fx) | set(fy):
         # entry (k + d, k) counts when both k and k + d are in the block
         diff = (fx.get(d, 0) - fy.get(d, 0))[good & _moved(good, d)]
-        worst = max(worst, np.max(np.abs(diff), initial=0) / form.unit)
+        worst = max(worst, np.max(np.abs(diff), initial=0) / unit)
     return float(worst)
 
 
@@ -471,7 +483,8 @@ def relation_residuals(rep: Representation) -> ResidualReport:
         lhs = form.element(Element(p, {rule.left: QLaurent.one()}))
         rhs = form.element(Element(p, dict(rule.right)))
         entries.append((rule.label,
-                        _compressed_max(form, lhs, rhs, rep.shift_bound)))
+                        _compressed_max(rep, form.unit, lhs, rhs,
+                                        rep.shift_bound)))
     return ResidualReport(rep.name, rep.dim, rep.shift_bound, tuple(entries))
 
 
@@ -485,7 +498,8 @@ def element_mismatch(x: Element, y: Element, rep: Representation,
     """
     margin = rep.shift_bound * max(x.degree(), y.degree(), 1)
     form = rep.shift_form(dps)
-    return _compressed_max(form, form.operator(x), form.operator(y), margin)
+    return _compressed_max(rep, form.unit, form.operator(x), form.operator(y),
+                           margin)
 
 
 @dataclass(frozen=True)
@@ -589,7 +603,6 @@ class IndependenceReport:
     rank: int
     recovery_trials: int
     recovery_max_error: float
-    n_max: int
 
     @property
     def full_rank(self) -> bool:
@@ -604,21 +617,26 @@ def independence_check(monomials, q: float = 0.5, n_max: int = 40,
                        coeff_span: int = 5) -> IndependenceReport:
     """Rank and exact-recovery certificate for a monomial family.
 
-    Rank: the float evaluation matrix (rows = observed (input, output)
-    coordinate pairs for inputs 0..n_max, columns = monomials) must have
-    numerical rank equal to the monomial count, with columns normalized
-    and singular values thresholded at 1e-10 of the largest.
+    Both are decided in exact rational arithmetic, one elimination per
+    displacement class.  The evaluation matrix (rows = observed (input,
+    output) coordinate pairs for inputs 0..n_max, columns = monomials) is
+    block-diagonal by class, and within a class the row of input n is the
+    class's rational row times the positive sqrt(radicand(n)).  So the
+    rank is the sum of the classes' rational ranks; a class whose square
+    system on its first nodes is singular raises instead of reporting a
+    short rank.
 
     Recovery: for seeded random integer coefficient vectors, the
     coordinates of the combined action are computed exactly and the
-    coefficients are re-extracted by solving one exact linear system per
-    displacement class; the shared square root cancels, so recovery is
-    exact and the reported error is a hard zero unless something is
-    genuinely wrong.  A class's nodes and system do not depend on the
-    trial, so each class is built once, from the actions already found
-    for the rank, and solved for every trial's right-hand side in one
-    elimination.
+    coefficients are re-extracted from the same systems, every trial's
+    right-hand side in the one elimination of its class; the shared
+    square root cancels, so the reported error is a hard zero unless
+    something is genuinely wrong.
     """
+    if not 0 < q < 1:
+        raise RepresentationError("q must lie strictly between 0 and 1")
+    if trials < 0:
+        raise RepresentationError("trials must not be negative")
     monomials = tuple(monomials)
     if not monomials:
         raise RepresentationError("empty monomial family")
@@ -626,42 +644,17 @@ def independence_check(monomials, q: float = 0.5, n_max: int = 40,
     actions = [[exact_action(m, n, qf) for n in range(n_max + 1)]
                for m in monomials]
 
-    # float rank matrix
-    row_index: dict[tuple[int, int], int] = {}
-    triplets = []
-    for col, hits in enumerate(actions):
-        for n, hit in enumerate(hits):
-            if hit is None:
-                continue
-            out, rational, radicand = hit
-            row = row_index.setdefault((n, out), len(row_index))
-            triplets.append((row, col, float(rational) * math.sqrt(radicand)))
-    mat = np.zeros((len(row_index), len(monomials)))
-    for row, col, val in triplets:
-        mat[row, col] += val
-    norms = np.linalg.norm(mat, axis=0)
-    if np.any(norms == 0):
-        raise RepresentationError(
-            "a monomial acts as zero on every tested index; raise n_max")
-    mat /= norms
-    # entries below sqrt(smallest normal) have subnormal products, which
-    # slow LAPACK's SVD about 200-fold; dropping them moves no singular
-    # value by more than 1e-150, far inside the 1e-10 threshold
-    mat[np.abs(mat) < math.sqrt(np.finfo(float).tiny)] = 0.0
-    sing = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(sing > 1e-10 * sing[0]))
-
-    # exact recovery per displacement class: the coordinate at node n is
+    # one system per displacement class: the coordinate at node n is
     # sqrt(radicand(n)) * sum_k c_k rat_k(n) and the radical is common to
     # the class, so the system is in the rational parts alone; each row
-    # is scaled to integers, which leaves its solution unchanged
+    # is scaled to integers, which leaves its solution and rank unchanged
     rng = rng if rng is not None else _default_rng()
     drawn = [[rng.randint(-coeff_span, coeff_span) for _ in monomials]
              for _ in range(trials)]
     classes: dict[tuple[str, int], list[int]] = {}
     for idx, m in enumerate(monomials):
         classes.setdefault((m.family, m.l), []).append(idx)
-    max_err = 0.0
+    rank, max_err = 0, 0.0
     for (family, l), members in classes.items():
         nodes = [n for n, hit in enumerate(actions[members[0]])
                  if hit is not None][:len(members)]
@@ -678,10 +671,11 @@ def independence_check(monomials, q: float = 0.5, n_max: int = 40,
         reduced, pivots = gauss_jordan(rows, len(members))
         if len(pivots) < len(members):
             raise RepresentationError("singular recovery system")
+        rank += len(pivots)
         for i, row in zip(members, reduced):
             max_err = max([max_err] + [abs(float(r - c[i])) for r, c
                                        in zip(row[len(members):], drawn)])
-    return IndependenceReport(len(monomials), rank, trials, max_err, n_max)
+    return IndependenceReport(len(monomials), rank, trials, max_err)
 
 
 def _default_rng():

@@ -56,6 +56,14 @@ def test_criterion_5_independence_and_recovery(results):
     report(results, "5")
 
 
+@pytest.mark.parametrize("q", [0.1, 0.01])
+def test_criterion_5_at_small_q(q):
+    # a float SVD gave rank 45/60 at q = 0.1, and underflowed at q = 0.01
+    passed, detail = acceptance._crit_5_independence(acceptance.RunConfig(q=q))
+    assert passed, detail
+    assert detail.startswith("rank 60/60, recovery max error 0.0e+00")
+
+
 def test_criterion_6_smith_normal_form_suite(results):
     report(results, "6")
 

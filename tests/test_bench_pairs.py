@@ -12,8 +12,9 @@ if seed in {slow}:
 if seed in {silent}:
     sys.exit(3)
 ok = seed not in {bad}
-metrics = {{m: {{"value": 1.0, "unit": "s"}} for m in
-           ("wall_s", "setup_s", "slowest_op_s", "peak_rss_mb")}}
+metrics = {{m: {{"value": {slower}, "unit": "s"}} for m in
+           ("wall_s", "setup_s", "slowest_op_s")}}
+metrics["peak_rss_mb"] = {{"value": 40.0, "unit": "MB"}}
 print(json.dumps({{"correct": ok, "attempted": 3, "failed": 0 if ok else 1,
                   "metrics": metrics}}))
 sys.exit(0 if ok else 1)
@@ -27,10 +28,19 @@ def load_tool():
     return module
 
 
-def fake_tree(root: Path, bad_seeds, slow=(), silent=()) -> Path:
+END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+              {"name": "setup_s", "better": "lower", "bound": 0.25},
+              {"name": "slowest_op_s", "better": "lower", "bound": 0.35},
+              {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def fake_tree(root: Path, bad_seeds, slow=(), silent=(), slower=1.0) -> Path:
+    """A tree whose perfbench/run.py prints a fixed result line; its
+    three time metrics are `slower` seconds."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(RUN.format(
-        bad=set(bad_seeds), slow=set(slow), silent=set(silent)))
+        bad=set(bad_seeds), slow=set(slow), silent=set(silent), slower=slower))
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
     return root
 
 
@@ -75,3 +85,31 @@ def test_timed_out_and_silent_runs_are_bad_runs_not_the_end(tmp_path, monkeypatc
                                        (3, True), (0, False)]
     assert doc["summary"]["bad_runs"] == {"parent": 0, "change": 2}
     assert doc["summary"]["wall_s"]["pairs"] == 2
+
+
+def test_medians_past_their_bound_fail_the_tool(tmp_path, monkeypatch, capsys):
+    # every change run is correct but 30 % slower: past the 25 % bounds of
+    # wall_s and setup_s, inside the 35 % of slowest_op_s
+    tool = load_tool_on_fake_trees(monkeypatch)
+    parent = fake_tree(tmp_path / "parent", ())
+    change = fake_tree(tmp_path / "change", (), slower=1.3)
+    out = tmp_path / "out.json"
+    assert tool.main(["--parent", str(parent), "--change", str(change),
+                      "--workload", "w", "--out", str(out),
+                      "--seeds", "1", "2", "3"]) == 1
+    summary = json.loads(out.read_text())["workloads"]["w"]["summary"]
+    assert summary["bad_runs"] == {"parent": 0, "change": 0}
+    assert {name: (round(summary[name]["change_over_parent"], 6),
+                   summary[name]["past_bound"])
+            for name in ("wall_s", "setup_s", "slowest_op_s", "peak_rss_mb")
+            } == {"wall_s": (0.3, True), "setup_s": (0.3, True),
+                  "slowest_op_s": (0.3, False), "peak_rss_mb": (0.0, False)}
+    breaches = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("past bound: ")]
+    assert breaches == [
+        "past bound: w wall_s: median 1 -> 1.3 (+30.0%, bound 25%, lower is better)",
+        "past bound: w setup_s: median 1 -> 1.3 (+30.0%, bound 25%, lower is better)"]
+    # a faster change is never past a bound of a lower-is-better metric
+    out.unlink()
+    assert tool.main(["--parent", str(change), "--change", str(parent),
+                      "--workload", "w", "--out", str(out), "--seeds", "1"]) == 0

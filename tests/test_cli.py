@@ -247,6 +247,29 @@ def test_rep_independence(capsys):
     assert payload["seed"] == 0
 
 
+@pytest.mark.parametrize("kmax, lmax, q, count", [
+    ("5", "3", "0.5", 90), ("8", "1", "0.5", 63), ("4", "3", "0.3", 75)])
+def test_rep_independence_full_rank_on_wider_families(capsys, kmax, lmax, q,
+                                                      count):
+    rc, payload, _ = run_json(capsys, "rep", "independence", "--kmax", kmax,
+                              "--lmax", lmax, "--q", q)
+    assert rc == 0 and payload["ok"]
+    assert payload["monomials"] == payload["rank"] == count
+
+
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--q", "1.5", "q must lie strictly between 0 and 1"),
+    ("--q", "nan", "q must lie strictly between 0 and 1"),
+    ("--q", "1", "q must lie strictly between 0 and 1"),
+    ("--q", "0", "q must lie strictly between 0 and 1"),
+    ("--q", "-0.5", "q must lie strictly between 0 and 1"),
+    ("--trials", "-3", "trials must not be negative")])
+def test_rep_independence_out_of_range_exits_two(capsys, flag, value, reason):
+    rc, out, err = run(capsys, "rep", "independence", flag, value)
+    assert rc == 2 and out == ""
+    assert err == f"qcstar: {reason}\n"
+
+
 def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("QCSTAR_SEED", "123")
     rc, payload, _ = run_json(capsys, "rep", "independence", "--kmax", "0",

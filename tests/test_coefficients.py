@@ -6,9 +6,17 @@ from qcstar.coefficients import QLaurent
 from qcstar.ncalgebra import presentation
 
 
+def zero():
+    return QLaurent()
+
+
+def is_zero(c):
+    return not c.items()
+
+
 def test_constructors_and_items():
-    z = QLaurent.zero()
-    assert z.is_zero() and not z
+    z = zero()
+    assert is_zero(z) and not z
     one = QLaurent.one()
     assert one.items() == [(0, Fraction(1))]
     half = QLaurent.rational(Fraction(1, 2))
@@ -23,13 +31,13 @@ def test_arithmetic():
     a = QLaurent.q_power(2) + QLaurent.rational(1)
     b = QLaurent.q_power(-2, Fraction(1, 3))
     assert (a * b).items() == [(-2, Fraction(1, 3)), (0, Fraction(1, 3))]
-    assert (a - a).is_zero()
-    assert (-a + a).is_zero()
+    assert is_zero(a - a)
+    assert is_zero(-a + a)
     # ints and Fractions coerce on either side
     assert (a * 3).items() == [(0, Fraction(3)), (2, Fraction(3))]
     assert (2 + QLaurent.q_power(1)).items() == [(0, Fraction(2)),
                                                  (1, Fraction(1))]
-    assert (1 - QLaurent.one()).is_zero()
+    assert is_zero(1 - QLaurent.one())
 
 
 def test_cancellation_inside_sum():
@@ -57,7 +65,7 @@ def test_evaluate():
     a = QLaurent({-1: Fraction(1, 2), 2: 1})
     assert a.evaluate(Fraction(1, 2)) == Fraction(5, 4)
     assert a.evaluate(0.5) == pytest.approx(1.25)
-    assert QLaurent.zero().evaluate(0.3) == 0
+    assert zero().evaluate(0.3) == 0
 
 
 def test_equality_and_hash():
@@ -68,7 +76,7 @@ def test_equality_and_hash():
 
 
 def test_str_forms():
-    assert str(QLaurent.zero()) == "0"
+    assert str(zero()) == "0"
     assert str(QLaurent.one()) == "1"
     assert str(QLaurent.q_power(2)) == "q^2"
     assert str(QLaurent.q_power(1)) == "q"

@@ -1,7 +1,9 @@
 import cmath
+import gc
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -353,6 +355,29 @@ def test_high_precision_elements_match_dense_mpmath_products(name):
             assert max(abs(v) for v in got - want) <= mpmath.mpf(10) ** -dps * scale
 
 
+def test_representations_are_freed_with_their_last_reference():
+    # no reference cycle keeps a representation's store forms (or the
+    # finer grid its coefficient q^-72 needs at 30 digits) alive until the
+    # cycle collector runs
+    cases = [("rho_rp2", "q^-72 P R + T"), ("pi_pm", "K L + L*"),
+             ("rho_pm", "a b + a*")]
+    gc.disable()
+    try:
+        for name, expr in cases:
+            rep = build_rep(name, q=Q, dim=16)
+            x = rep.presentation.parse(expr)
+            element_mismatch(x, rep.presentation.zero(), rep)
+            element_mismatch(x, rep.presentation.zero(), rep, dps=30)
+            relation_residuals(rep)
+            form = weakref.ref(rep.shift_form(30))
+            if name == "rho_rp2":
+                assert form()._finer
+            rep = weakref.ref(rep)
+            assert rep() is None and form() is None, name
+    finally:
+        gc.enable()
+
+
 def test_bridge_resolves_what_float64_cannot():
     # criterion 7's suq2_mod_b element of the float64 figure 7.8e-6, set
     # against its normal form plus q^40 = 9.1e-13 times the unit word
@@ -596,6 +621,20 @@ def test_independence_recovers_the_drawn_coefficients():
 def test_independence_empty_family():
     with pytest.raises(RepresentationError):
         independence_check((), q=Q)
+
+
+def test_independence_rank_is_exact_on_a_wider_family():
+    # a float SVD of the evaluation matrix saw rank 67 here
+    report = independence_check(basis_monomials(5, 3), q=Q,
+                                rng=random.Random(0))
+    assert report.rank == report.monomial_count == 90
+    assert report.ok()
+
+
+def test_independence_dependent_family_is_singular():
+    m = BasisMonomial(1, 2, "PRT")
+    with pytest.raises(RepresentationError, match="singular recovery system"):
+        independence_check((m, m), q=Q, trials=1, rng=random.Random(0))
 
 
 def theta_separation(q, thetas):

@@ -10,9 +10,12 @@ no result line is kept with a null result and counts as bad.  The file
 written holds the command, the machine (cores, Python, numpy, load
 average before and after), every pair's two result lines, per
 end-to-end metric the medians over the pairs where both sides have a
-result, the parent's quartiles and the number of pairs the change won,
-and per side the number of bad runs (no result, ``correct`` false or
-``failed`` above 0):
+result, the parent's quartiles, the number of pairs the change won, the
+change of the median over the parent's and whether that change is past
+the metric's bound, and per side the number of bad runs (no result,
+``correct`` false or ``failed`` above 0).  The end-to-end metrics, with
+their ``better`` direction and ``bound``, are read from the change
+tree's ``BENCHMARK.json``:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload reproduce --seeds 1 2 3 --out BENCH.json
@@ -22,8 +25,10 @@ may be given; their runs go into the same file.  An existing file is
 extended, so workloads can be measured in separate invocations.
 
 The exit code is 1 when a change-side run has no result, is not
-correct or fails more operations than the parent's run of its pair,
-after the file is written.
+correct or fails more operations than the parent's run of its pair, or
+when a median is worse than the parent's by more than its bound; each
+such run and breach is listed on standard error after the file is
+written.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from pathlib import Path
 
 import numpy
 
-METRICS = ("wall_s", "setup_s", "slowest_op_s", "peak_rss_mb")
 RUN_TIMEOUT = 180   # seconds; perfbench/run.py says every run ends within it
 
 
@@ -75,24 +79,34 @@ def shown(result: dict | None, key: str) -> str:
     """A metric or field of a result line, "-" for a run without one."""
     if result is None:
         return "-"
-    return (f"{result['metrics'][key]['value']:.4g}" if key in METRICS
+    return (f"{result['metrics'][key]['value']:.4g}" if key in result["metrics"]
             else str(result[key]))
 
 
-def summary(pairs: list[dict]) -> dict:
+def summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric of BENCHMARK.json, the medians and their
+    change; change_over_parent is relative (None for a parent median of
+    0), and past_bound says the change is worse by more than the bound."""
     out = {}
     both = [p for p in pairs if p["parent"] is not None and p["change"] is not None]
-    for name in METRICS if both else ():
+    for metric in end_to_end if both else ():
+        name = metric["name"]
         parent = [p["parent"]["metrics"][name]["value"] for p in both]
         change = [p["change"]["metrics"][name]["value"] for p in both]
         quartiles = (statistics.quantiles(parent, n=4) if len(parent) > 1
                      else parent * 3)
-        out[name] = {"parent_median": statistics.median(parent),
-                     "change_median": statistics.median(change),
+        pm, cm = statistics.median(parent), statistics.median(change)
+        over = (cm - pm) / pm if pm else None
+        worse = cm > pm if metric["better"] == "lower" else cm < pm
+        out[name] = {"parent_median": pm,
+                     "change_median": cm,
                      "parent_quartiles": [quartiles[0], quartiles[2]],
                      "change_range": [min(change), max(change)],
                      "change_lower_in": sum(c < p for p, c in zip(parent, change)),
-                     "pairs": len(both)}
+                     "pairs": len(both),
+                     "change_over_parent": over,
+                     "past_bound": worse and (over is None
+                                              or abs(over) > metric["bound"])}
     out["bad_runs"] = {side: sum(bad(p[side]) for p in pairs)
                        for side in ("parent", "change")}
     return out
@@ -106,6 +120,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    end_to_end = json.loads(
+        (args.change / "BENCHMARK.json").read_text())["end_to_end"]
 
     doc = (json.loads(args.out.read_text()) if args.out.exists() else
            {"command": " ".join(command("<workload>", "<seed>")),
@@ -114,7 +130,7 @@ def main(argv=None) -> int:
                         "python": platform.python_version(),
                         "numpy": numpy.__version__},
             "workloads": {}})
-    worse_runs = []
+    worse_runs, breaches = [], []
     for workload in args.workload:
         load_before = os.getloadavg()
         pairs = []
@@ -132,16 +148,29 @@ def main(argv=None) -> int:
                     f"{pair['exit_codes']['change']}, correct "
                     f"{shown(change, 'correct')}, failed {shown(change, 'failed')} "
                     f"(parent {shown(parent, 'failed')})")
-            print(workload, seed, *(f"{m} {shown(parent, m)} -> {shown(change, m)}"
-                                    for m in METRICS), file=sys.stderr)
+            print(workload, seed, *(f"{m['name']} {shown(parent, m['name'])} -> "
+                                    f"{shown(change, m['name'])}"
+                                    for m in end_to_end), file=sys.stderr)
+        summ = summary(pairs, end_to_end)
         doc["workloads"][workload] = {
             "seeds": args.seeds,
             "load_average": {"before": load_before, "after": os.getloadavg()},
-            "pairs": pairs, "summary": summary(pairs)}
+            "pairs": pairs, "summary": summ}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        for metric in end_to_end:
+            s = summ.get(metric["name"])
+            if s and s["past_bound"]:
+                over = ("from 0" if s["change_over_parent"] is None
+                        else f"{s['change_over_parent']:+.1%}")
+                breaches.append(
+                    f"{workload} {metric['name']}: median {s['parent_median']:.4g}"
+                    f" -> {s['change_median']:.4g} ({over}, bound "
+                    f"{metric['bound']:.0%}, {metric['better']} is better)")
     for line in worse_runs:
         print(f"bad change run: {line}", file=sys.stderr)
-    return 1 if worse_runs else 0
+    for line in breaches:
+        print(f"past bound: {line}", file=sys.stderr)
+    return 1 if worse_runs or breaches else 0
 
 
 if __name__ == "__main__":
