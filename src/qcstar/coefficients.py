@@ -3,11 +3,11 @@
 Every coefficient is a Laurent polynomial in the deformation parameter q
 with rational coefficients, stored sparsely by exponent.  All arithmetic
 is exact; floats only appear when a coefficient is evaluated at a numeric
-value of q.  gauss_jordan is the package's Fraction elimination: rational
-ranks in ktheory and coefficient recovery in representations both use
-it.  ktheory.IntegerMatrix.determinant runs the other one, fraction-free
+value of q.  gauss_jordan is the package's Fraction elimination; it
+serves the coefficient recovery in representations only.  ktheory's
+rational ranks and determinants run the other one, fraction-free
 (Bareiss) over the integers, which is the faster one on small integer
-minors.  The recovery systems stay with Fractions: at q = 0.3, Bareiss
+matrices.  The recovery systems stay with Fractions: at q = 0.3, Bareiss
 makes their many right-hand sides multiples of a determinant thousands
 of bits long, and takes three times as long.
 """

@@ -1,11 +1,13 @@
 """Exact integer linear algebra and K-groups of graph C*-algebras.
 
-Smith normal form with explicit unimodular transforms drives everything:
-cokernels give K0, kernels give K1.  The form is computed on one working
-matrix that carries U and V beside M, so each row or column operation
-is one step on it.  All arithmetic uses Python integers and fractions,
-never floats, so the results are exact.  Oracles that share no code
-with the SNF (rational rank by Gaussian elimination, torsion order by
+One Smith normal form elimination drives everything: the K-groups
+(cokernels give K0, kernels give K1) read the invariant factors off the
+diagonal of one elimination of the matrix alone, and smith_normal_form
+runs the same elimination on one working matrix that carries U and V
+beside M, so each row or column operation is one step on it.  All
+arithmetic uses Python integers, never floats, so the results are
+exact.  Oracles that share no code with the SNF (rational rank and
+determinants by fraction-free Bareiss elimination, torsion order by
 determinantal divisors and by literal coset enumeration) are exposed
 for cross-checking it; the coset oracle takes its modulus from the
 claim it checks, so it is not independent of it.
@@ -19,8 +21,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-from .coefficients import gauss_jordan
 
 
 @dataclass(frozen=True)
@@ -76,27 +76,8 @@ class IntegerMatrix:
         """Fraction-free Bareiss elimination; square matrices only."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        rank, last_pivot = _bareiss(self)
+        return last_pivot if rank == self.rows else 0
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and self.determinant() in (1, -1)
@@ -104,6 +85,40 @@ class IntegerMatrix:
     def __str__(self):
         return "\n".join(" ".join(str(x) for x in self.row(i))
                          for i in range(self.rows)) or "(empty)"
+
+
+def _bareiss(m: IntegerMatrix) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of m over the integers.
+
+    A column without a nonzero entry in the rows still to be reduced is
+    skipped.  Every entry stays a minor of m, so each division is exact.
+    Returns the rank and the last pivot, signed by the row swaps: for a
+    square m of full rank, its determinant.
+    """
+    a = m.to_rows()
+    rows, cols = m.rows, m.cols
+    rank, sign, prev = 0, 1, 1
+    for k in range(cols):
+        if rank == rows:
+            break
+        if not a[rank][k]:
+            for i in range(rank + 1, rows):
+                if a[i][k]:
+                    a[rank], a[i] = a[i], a[rank]
+                    sign = -sign
+                    break
+            else:
+                continue
+        top = a[rank]
+        p = top[k]
+        for i in range(rank + 1, rows):
+            ai = a[i]
+            f = ai[k]
+            for j in range(k + 1, cols):
+                ai[j] = (ai[j] * p - f * top[j]) // prev
+        prev = p
+        rank += 1
+    return rank, sign * prev
 
 
 @dataclass(frozen=True)
@@ -150,33 +165,38 @@ class SNFResult:
         return tuple(d for d in self.diagonal() if d != 0)
 
 
-def smith_normal_form(m: IntegerMatrix) -> SNFResult:
-    """Diagonalize by unimodular row and column operations.
+def _pivot(w, t: int, rows: int, cols: int) -> tuple[int, int] | None:
+    """The nonzero entry of least absolute value in rows and columns
+    t onwards, the first in row-major order among equals; None when
+    they are all zero.  A unit ends the scan: nothing is less, and no
+    later entry comes first."""
+    best, at = 0, None
+    for i in range(t, rows):
+        wi = w[i]
+        for j in range(t, cols):
+            x = abs(wi[j])
+            if x and (x < best or not best):
+                if x == 1:
+                    return i, j
+                best, at = x, (i, j)
+    return at
 
-    The work happens on one matrix [[M, I], [I, 0]]: row operations act
-    on its first ``rows`` rows, so U builds up in the right-hand block,
-    and column operations on its first ``cols`` columns, so V builds up
-    in the bottom block; U, S and V are sliced out at the end.  Pivot
-    choice is the nonzero entry of least absolute value with (row, col)
-    tie-break, which makes U, S, V fully deterministic.  Diagonal
-    entries come out nonnegative in a divisibility chain.
+
+def _eliminate(w: list[list[int]], rows: int, cols: int) -> None:
+    """Bring the top-left rows x cols block of w to Smith form in place.
+
+    Row operations act on whole rows of w and column operations on whole
+    columns, so blocks carried beside and below the matrix record the
+    transforms; w may be the matrix alone.  Pivot choice is _pivot's,
+    which makes the outcome fully deterministic.  Diagonal entries come
+    out nonnegative in a divisibility chain.
     """
-    rows, cols = m.rows, m.cols
-    w = ([list(m.row(i)) + [int(i == k) for k in range(rows)]
-          for i in range(rows)]
-         + [[int(j == k) for k in range(cols)] + [0] * rows
-            for j in range(cols)])
     for t in range(min(rows, cols)):
         while True:
-            best = 0
-            for i in range(t, rows):
-                wi = w[i]
-                for j in range(t, cols):
-                    x = abs(wi[j])
-                    if x and (x < best or not best):
-                        best, pi, pj = x, i, j
-            if not best:
-                break  # the rest is zero, and stays zero for every later t
+            at = _pivot(w, t, rows, cols)
+            if at is None:
+                return  # the rest is zero, and stays zero for every later t
+            pi, pj = at
             w[t], w[pi] = w[pi], w[t]
             for row in w:
                 row[t], row[pj] = row[pj], row[t]
@@ -189,14 +209,18 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
                     f = w[i][t] // p
                     w[i] = [x - f * y for x, y in zip(w[i], wt)]
                     clean = clean and not w[i][t]
+            # a column operation changes only the rows with column t nonzero
+            touched = [row for row in w if row[t]]
             for j in range(t + 1, cols):
                 if wt[j]:
                     f = wt[j] // p
-                    for row in w:
+                    for row in touched:
                         row[j] -= f * row[t]
                     clean = clean and not wt[j]
             if not clean:
                 continue
+            if p in (1, -1):
+                break  # a unit divides the rest
             # the pivot must divide the rest: fold the first row it does
             # not divide into row t and clear again
             for i in range(t + 1, rows):
@@ -208,6 +232,24 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
         if w[t][t] < 0:
             w[t] = [-x for x in w[t]]
 
+
+def smith_normal_form(m: IntegerMatrix) -> SNFResult:
+    """Diagonalize by unimodular row and column operations.
+
+    The elimination runs on one matrix [[M, I], [I, 0]]: row operations
+    act on its first ``rows`` rows, so U builds up in the right-hand
+    block, and column operations on its first ``cols`` columns, so V
+    builds up in the bottom block; U, S and V are sliced out at the end.
+    Only callers that read U or V need this; the K-groups eliminate M
+    alone.
+    """
+    rows, cols = m.rows, m.cols
+    w = ([list(m.row(i)) + [int(i == k) for k in range(rows)]
+          for i in range(rows)]
+         + [[int(j == k) for k in range(cols)] + [0] * rows
+            for j in range(cols)])
+    _eliminate(w, rows, cols)
+
     def block(top, bottom, left, right):
         return IntegerMatrix(bottom - top, right - left, tuple(
             x for row in w[top:bottom] for x in row[left:right]))
@@ -216,8 +258,11 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
 
 
 def _cokernel_and_kernel(m: IntegerMatrix) -> tuple[AbelianGroup, AbelianGroup]:
-    """Both groups read off one Smith normal form of m."""
-    factors = smith_normal_form(m).invariant_factors()
+    """Both groups read off the diagonal of one elimination of m alone,
+    without the transforms."""
+    w = m.to_rows()
+    _eliminate(w, m.rows, m.cols)
+    factors = [w[t][t] for t in range(min(m.rows, m.cols)) if w[t][t]]
     return (AbelianGroup(m.rows - len(factors),
                          tuple(d for d in factors if d > 1)),
             AbelianGroup(m.cols - len(factors)))
@@ -242,8 +287,8 @@ def k_groups(g) -> tuple[AbelianGroup, AbelianGroup]:
 # -- independent oracles -------------------------------------------------------
 
 def rational_rank(m: IntegerMatrix) -> int:
-    """Rank over Q by plain fraction Gaussian elimination."""
-    return len(gauss_jordan([m.row(i) for i in range(m.rows)], m.cols)[1])
+    """Rank over Q by fraction-free (Bareiss) elimination."""
+    return _bareiss(m)[0]
 
 
 def determinant_divisor(m: IntegerMatrix, r: int) -> int:

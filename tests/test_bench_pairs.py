@@ -9,6 +9,8 @@ RUN = """import json, sys, time
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 if seed in {slow}:
     time.sleep(60)
+if seed in {pause}:
+    time.sleep(1)
 if seed in {silent}:
     sys.exit(3)
 ok = seed not in {bad}
@@ -34,12 +36,15 @@ END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
               {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
 
 
-def fake_tree(root: Path, bad_seeds, slow=(), silent=(), slower=1.0) -> Path:
+def fake_tree(root: Path, bad_seeds, slow=(), silent=(), slower=1.0,
+              pause=()) -> Path:
     """A tree whose perfbench/run.py prints a fixed result line; its
-    three time metrics are `slower` seconds."""
+    three time metrics are `slower` seconds, and the seeds in `pause`
+    take a second longer."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(RUN.format(
-        bad=set(bad_seeds), slow=set(slow), silent=set(silent), slower=slower))
+        bad=set(bad_seeds), slow=set(slow), silent=set(silent), slower=slower,
+        pause=set(pause)))
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
     return root
 
@@ -85,6 +90,8 @@ def test_timed_out_and_silent_runs_are_bad_runs_not_the_end(tmp_path, monkeypatc
                                        (3, True), (0, False)]
     assert doc["summary"]["bad_runs"] == {"parent": 0, "change": 2}
     assert doc["summary"]["wall_s"]["pairs"] == 2
+    assert doc["pairs"][1]["seconds"]["change"] >= 2
+    assert doc["summary"]["max_seconds"]["change"] >= 2
 
 
 def test_medians_past_their_bound_fail_the_tool(tmp_path, monkeypatch, capsys):
@@ -113,3 +120,25 @@ def test_medians_past_their_bound_fail_the_tool(tmp_path, monkeypatch, capsys):
     out.unlink()
     assert tool.main(["--parent", str(change), "--change", str(parent),
                       "--workload", "w", "--out", str(out), "--seeds", "1"]) == 0
+
+
+def test_elapsed_seconds_are_kept_per_run_with_each_sides_longest(
+        tmp_path, monkeypatch):
+    # seed 2 of the change and seed 3 of the parent take a second longer
+    # than the others; every run is timed, and each side's longest run
+    # is in the summary
+    tool = load_tool_on_fake_trees(monkeypatch)
+    parent = fake_tree(tmp_path / "parent", (), pause=(3,))
+    change = fake_tree(tmp_path / "change", (), pause=(2,))
+    out = tmp_path / "out.json"
+    assert tool.main(["--parent", str(parent), "--change", str(change),
+                      "--workload", "w", "--out", str(out),
+                      "--seeds", "1", "2", "3"]) == 0
+    doc = json.loads(out.read_text())["workloads"]["w"]
+    seconds = [p["seconds"] for p in doc["pairs"]]
+    assert [set(s) for s in seconds] == [{"parent", "change"}] * 3
+    assert seconds[1]["change"] >= 1 and seconds[2]["parent"] >= 1
+    assert doc["summary"]["max_seconds"] == {
+        side: max(s[side] for s in seconds) for side in ("parent", "change")}
+    assert all(s[side] < tool.RUN_TIMEOUT for s in seconds
+               for side in ("parent", "change"))

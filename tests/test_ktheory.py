@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qcstar import acceptance, ktheory
+from qcstar.coefficients import gauss_jordan
 from qcstar.graphs import Edge, Graph, build_ag, builtin_graph, parse_graph
 from qcstar.ktheory import (
     AbelianGroup,
@@ -511,16 +512,82 @@ def test_k_groups_single_loop():
     assert k1 == AbelianGroup(1, ())
 
 
-def test_k_groups_reads_one_smith_form(monkeypatch):
-    calls = []
+def test_k_groups_eliminate_a_g_alone(monkeypatch):
+    # one elimination of the matrix itself, with no transform blocks
+    # beside or below it, and no Smith form with transforms
+    shapes = []
+    eliminate = ktheory._eliminate
 
-    def counted(m):
-        calls.append(m)
-        return smith_normal_form(m)
-    monkeypatch.setattr(ktheory, "smith_normal_form", counted)
+    def counted(w, rows, cols):
+        shapes.append((len(w), {len(row) for row in w}, rows, cols))
+        return eliminate(w, rows, cols)
+
+    def refused(m):
+        raise AssertionError("k_groups built U and V")
+    monkeypatch.setattr(ktheory, "_eliminate", counted)
+    monkeypatch.setattr(ktheory, "smith_normal_form", refused)
     assert k_groups(builtin_graph("G3")) == (AbelianGroup(1, (2,)),
                                              AbelianGroup(0, ()))
-    assert len(calls) == 1
+    a = build_ag(builtin_graph("G3"))
+    assert shapes == [(a.rows, {a.cols}, a.rows, a.cols)]
+
+
+def groups_from_reference(m):
+    """Cokernel and kernel read off the reference Smith form's diagonal."""
+    factors = reference_smith_normal_form(m).invariant_factors()
+    return (AbelianGroup(m.rows - len(factors),
+                         tuple(d for d in factors if d > 1)),
+            AbelianGroup(m.cols - len(factors)))
+
+
+def test_groups_match_reference_on_seeded_matrices():
+    rng = random.Random(14)
+    for _ in range(1500):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        bound = rng.choice([1, 4, 40])
+        m = IntegerMatrix(rows, cols, tuple(
+            0 if rng.random() < 0.3 else rng.randint(-bound, bound)
+            for _ in range(rows * cols)))
+        assert (cokernel(m), kernel(m)) == groups_from_reference(m), m
+
+
+def test_k_groups_match_reference_on_graph_matrices():
+    rng = random.Random(60)
+    for n in (1, 2, 3, 4, 6, 9, 14, 20, 27, 35, 44, 52, 60):
+        g = random_multigraph(rng, n)
+        assert k_groups(g) == groups_from_reference(build_ag(g)), n
+
+
+def test_rational_rank_matches_gauss_jordan():
+    rng = random.Random(6)
+    matrices = [zeros(0, 0), zeros(0, 4), zeros(5, 0), zeros(3, 3), zeros(6, 6)]
+    for _ in range(3000):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        bound = rng.choice([0, 1, 3, 30, 10 ** 6])
+        matrices.append(IntegerMatrix(rows, cols, tuple(
+            0 if rng.random() < 0.4 else rng.randint(-bound, bound)
+            for _ in range(rows * cols))))
+    for m in matrices:
+        pivots = gauss_jordan([m.row(i) for i in range(m.rows)], m.cols)[1]
+        assert rational_rank(m) == len(pivots), m
+
+
+def cofactor_determinant(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * cofactor_determinant(
+        [r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0]) if x)
+
+
+def test_determinant_matches_cofactor_expansion():
+    rng = random.Random(5)
+    for _ in range(1000):
+        n = rng.randint(0, 5)
+        m = IntegerMatrix(n, n, tuple(
+            0 if rng.random() < 0.4 else rng.randint(-9, 9)
+            for _ in range(n * n)))
+        assert m.determinant() == cofactor_determinant(m.to_rows()), m
 
 
 def test_criterion_6_reads_one_smith_form_per_matrix(monkeypatch):

@@ -4,16 +4,18 @@ Runs ``python3 perfbench/run.py --workload W --seed S --seconds 18
 --trace 0`` in two checkouts for each seed in turn, the parent first
 for the first seed, the change first for the next, and so on, and
 keeps the last line of each run's standard output (the harness's
-result line) as it is, with the run's exit code beside it.  A run gets
-RUN_TIMEOUT seconds; one that times out (exit code "timeout") or prints
-no result line is kept with a null result and counts as bad.  The file
+result line) as it is, with the run's exit code and elapsed seconds
+beside it.  A run gets RUN_TIMEOUT seconds; one that times out (exit
+code "timeout") or prints no result line is kept with a null result and
+counts as bad.  The file
 written holds the command, the machine (cores, Python, numpy, load
 average before and after), every pair's two result lines, per
 end-to-end metric the medians over the pairs where both sides have a
 result, the parent's quartiles, the number of pairs the change won, the
 change of the median over the parent's and whether that change is past
 the metric's bound, and per side the number of bad runs (no result,
-``correct`` false or ``failed`` above 0).  The end-to-end metrics, with
+``correct`` false or ``failed`` above 0) and the longest run's seconds,
+which shows the headroom left before RUN_TIMEOUT.  The end-to-end metrics, with
 their ``better`` direction and ``bound``, are read from the change
 tree's ``BENCHMARK.json``:
 
@@ -40,6 +42,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy
@@ -52,18 +55,22 @@ def command(workload: str, seed) -> list[str]:
             "--seed", str(seed), "--seconds", "18", "--trace", "0"]
 
 
-def run(tree: Path, workload: str, seed: int) -> tuple[dict | None, int | str]:
-    """The run's result line (None without one) and its exit code."""
+def run(tree: Path, workload: str,
+        seed: int) -> tuple[dict | None, int | str, float]:
+    """The run's result line (None without one), its exit code and its
+    elapsed seconds."""
+    start = time.perf_counter()
     try:
         done = subprocess.run(command(workload, seed), cwd=tree,
                               stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                               text=True, check=False, timeout=RUN_TIMEOUT)
     except subprocess.TimeoutExpired:
-        return None, "timeout"
+        return None, "timeout", time.perf_counter() - start
+    seconds = time.perf_counter() - start
     try:
-        return json.loads(done.stdout.splitlines()[-1]), done.returncode
+        return json.loads(done.stdout.splitlines()[-1]), done.returncode, seconds
     except (IndexError, ValueError):
-        return None, done.returncode
+        return None, done.returncode, seconds
 
 
 def bad(result: dict | None) -> bool:
@@ -109,6 +116,8 @@ def summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
                                               or abs(over) > metric["bound"])}
     out["bad_runs"] = {side: sum(bad(p[side]) for p in pairs)
                        for side in ("parent", "change")}
+    out["max_seconds"] = {side: max(p["seconds"][side] for p in pairs)
+                          for side in ("parent", "change")}
     return out
 
 
@@ -136,9 +145,10 @@ def main(argv=None) -> int:
         pairs = []
         for i, seed in enumerate(args.seeds):
             sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": sides[0], "exit_codes": {}}
+            pair = {"seed": seed, "first": sides[0], "exit_codes": {},
+                    "seconds": {}}
             for side in sides:
-                pair[side], pair["exit_codes"][side] = run(
+                pair[side], pair["exit_codes"][side], pair["seconds"][side] = run(
                     getattr(args, side), workload, seed)
             pairs.append(pair)
             parent, change = pair["parent"], pair["change"]
