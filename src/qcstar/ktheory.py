@@ -279,7 +279,8 @@ def kernel(m: IntegerMatrix) -> AbelianGroup:
 
 
 def k_groups(g) -> tuple[AbelianGroup, AbelianGroup]:
-    """K0 and K1 of the graph C*-algebra: cokernel and kernel of A_G."""
+    """K0 and K1 of the graph C*-algebra: cokernel and kernel of A_G,
+    read off one elimination of A_G alone."""
     from . import graphs
     return _cokernel_and_kernel(graphs.build_ag(g))
 
