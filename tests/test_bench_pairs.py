@@ -140,5 +140,3 @@ def test_elapsed_seconds_are_kept_per_run_with_each_sides_longest(
     assert seconds[1]["change"] >= 1 and seconds[2]["parent"] >= 1
     assert doc["summary"]["max_seconds"] == {
         side: max(s[side] for s in seconds) for side in ("parent", "change")}
-    assert all(s[side] < tool.RUN_TIMEOUT for s in seconds
-               for side in ("parent", "change"))

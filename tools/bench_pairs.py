@@ -7,17 +7,16 @@ keeps the last line of each run's standard output (the harness's
 result line) as it is, with the run's exit code and elapsed seconds
 beside it.  A run gets RUN_TIMEOUT seconds; one that times out (exit
 code "timeout") or prints no result line is kept with a null result and
-counts as bad.  The file
-written holds the command, the machine (cores, Python, numpy, load
-average before and after), every pair's two result lines, per
-end-to-end metric the medians over the pairs where both sides have a
-result, the parent's quartiles, the number of pairs the change won, the
-change of the median over the parent's and whether that change is past
-the metric's bound, and per side the number of bad runs (no result,
-``correct`` false or ``failed`` above 0) and the longest run's seconds,
-which shows the headroom left before RUN_TIMEOUT.  The end-to-end metrics, with
-their ``better`` direction and ``bound``, are read from the change
-tree's ``BENCHMARK.json``:
+counts as bad.  The file written holds the command, the machine (cores,
+Python, numpy, load average before and after), every pair's two result
+lines, per end-to-end metric the medians over the pairs where both
+sides have a result, the parent's quartiles, the number of pairs the
+change won, the change of the median over the parent's and whether
+that change is past the metric's bound, and per side the number of bad
+runs (no result, ``correct`` false or ``failed`` above 0) and the
+longest run's seconds, which shows the headroom left before
+RUN_TIMEOUT.  The end-to-end metrics, with their ``better`` direction
+and ``bound``, are read from the change tree's ``BENCHMARK.json``:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload reproduce --seeds 1 2 3 --out BENCH.json
