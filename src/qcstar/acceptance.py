@@ -16,10 +16,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import graphs, ktheory, ncalgebra, representations as reps
+from ._lazy import lazy_module
 from .coefficients import QLaurent
+
+np = lazy_module("numpy")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ exact.  Oracles that share no code with the SNF (rational rank and
 determinants by fraction-free Bareiss elimination, torsion order by
 determinantal divisors and by literal coset enumeration) are exposed
 for cross-checking it; the coset oracle takes its modulus from the
-claim it checks, so it is not independent of it.
+claim it checks, so it is not independent of it.  numpy serves that
+oracle alone and loads when it first runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import lazy_module
+
+np = lazy_module("numpy")
 
 
 @dataclass(frozen=True)

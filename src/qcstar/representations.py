@@ -18,7 +18,10 @@ two precisions, both read off the same rows: dps=None holds complex128
 weights, a digit count holds fixed-point integers on a grid of 2^-B
 with B a little over dps digits, built from exact q with exact square
 roots, for checks whose cancellation exceeds float64's digits.  A dense
-matrix is formed only on request (evaluate).
+matrix is formed only on request (evaluate).  numpy and mpmath load on
+first use: numpy with the first representation built, mpmath only when
+ShiftForm.element first converts a fixed-point operator to mpmath
+numbers, which nothing else in the package does.
 
 The independence check for the projective-space basis monomials works in
 exact rational arithmetic.  Each basis monomial acts on e_n by a rational
@@ -37,12 +40,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-import numpy as np
-
 from . import ncalgebra
+from ._lazy import lazy_module
 from .coefficients import QLaurent, gauss_jordan
 from .ncalgebra import AlgebraPresentation, Element, GeneratorMap
+
+mpmath = lazy_module("mpmath")
+np = lazy_module("numpy")
 
 
 class RepresentationError(ValueError):
@@ -237,8 +241,28 @@ class ShiftForm:
 
 
 def _on_grid(coeff: QLaurent, q: Fraction, unit: int) -> int:
-    """The exact value of coeff at q, rounded to a multiple of 1/unit."""
-    return round(sum(c * q ** e for e, c in coeff.items()) * unit)
+    """The exact value of coeff at q, rounded to a multiple of 1/unit.
+
+    With q = a/b and lo <= 0 <= hi bounding the exponents, every term is
+    brought over the one denominator den * a^-lo * b^hi, den the lcm of
+    the coefficients' denominators, so the sum is one integer and no
+    Fraction is reduced on the way."""
+    terms = coeff.items()  # sorted by exponent
+    if not terms:
+        return 0
+    a, b = q.numerator, q.denominator
+    lo, hi = min(terms[0][0], 0), max(terms[-1][0], 0)
+    den = math.lcm(*[c.denominator for _, c in terms])
+    top = sum([c.numerator * (den // c.denominator) * a ** (e - lo)
+               * b ** (hi - e) for e, c in terms])
+    return _round_half_even(top * unit, den * a ** -lo * b ** hi)
+
+
+def _round_half_even(top: int, den: int) -> int:
+    """top / den to the nearest integer, half to even as round() does;
+    den > 0."""
+    floor, rest = divmod(top, den)
+    return floor + (2 * rest > den or (2 * rest == den and floor % 2))
 
 
 def _filled(n: int, dps: int | None, value) -> np.ndarray:
@@ -303,7 +327,7 @@ def _float_weight(row, k: int, q: float) -> float:
 def _fixed_weight(row, k: int, q: Fraction, bits: int) -> int:
     """The weight of e_k under a row on the grid 2^-bits, in integers
     with q = a/b: the square root to 8 bits past the grid, then one
-    rounding of the exact product, half to even as round() does."""
+    rounding of the exact product."""
     _, sign, slope, offset, edges = row
     a, b = q.numerator, q.denominator
     top = bottom = 1
@@ -313,9 +337,7 @@ def _fixed_weight(row, k: int, q: Fraction, bits: int) -> int:
     root = math.isqrt((top << 2 * (bits + 8)) // bottom)
     # sign * q^e * root / 2^(bits + 8), in units of 2^-bits
     e = slope * k + offset
-    den = b ** e << 8
-    floor, rest = divmod(sign * a ** e * root, den)
-    return floor + (2 * rest > den or (2 * rest == den and floor % 2))
+    return _round_half_even(sign * a ** e * root, b ** e << 8)
 
 
 def build_rep(name: str, q: float = 0.5, dim: int = 64,

@@ -16,6 +16,7 @@ from qcstar.representations import (
     REP_NAMES,
     BasisMonomial,
     RepresentationError,
+    _on_grid,
     build_rep,
     compose_rep,
     direct_sum,
@@ -410,6 +411,27 @@ def test_large_coefficients_keep_dps_digits():
     assert worst < mpmath.mpf(10) ** -dps
     assert element_mismatch(x, x.scale(1 + QLaurent.q_power(300, 1)), rep,
                             dps=dps) == pytest.approx(Q ** 100)
+
+
+def test_on_grid_matches_the_fraction_formula():
+    def reference(coeff, q, unit):
+        return round(sum(c * q ** e for e, c in coeff.items()) * unit)
+
+    half = Fraction(1, 2)
+    # exact ties, half to even: 1/2 -> 0, 3/2 -> 2, -1/2 -> 0, -5/2 -> -2
+    ties = [(QLaurent.q_power(1), 0), (QLaurent.q_power(-1, Fraction(3, 4)), 2),
+            (QLaurent.q_power(2, -2), 0), (QLaurent.q_power(-2, Fraction(-5, 8)), -2)]
+    for coeff, want in ties:
+        assert _on_grid(coeff, half, 1) == reference(coeff, half, 1) == want
+    assert _on_grid(QLaurent(), half, 1 << 230) == 0
+    rng = random.Random(15)
+    for q in (half, Fraction(1, 3), Fraction(0.3), Fraction(1, 16)):
+        for unit in (1, 2, 3, 1 << 64, 1 << 230):
+            for _ in range(300):
+                coeff = QLaurent({rng.randint(-9, 9): Fraction(
+                    rng.randint(-40, 40), rng.randint(1, 12))
+                    for _ in range(rng.randint(0, 6))})
+                assert _on_grid(coeff, q, unit) == reference(coeff, q, unit)
 
 
 # -- exact monomial action -------------------------------------------------------
