@@ -1,17 +1,23 @@
 """Exact integer linear algebra and K-groups of graph C*-algebras.
 
-One Smith normal form elimination drives everything: the K-groups
-(cokernels give K0, kernels give K1) read the invariant factors off the
-diagonal of one elimination of the matrix alone, and smith_normal_form
-runs the same elimination on one working matrix that carries U and V
-beside M, so each row or column operation is one step on it.  All
-arithmetic uses Python integers, never floats, so the results are
-exact.  Oracles that share no code with the SNF (rational rank and
-determinants by fraction-free Bareiss elimination, torsion order by
-determinantal divisors and by literal coset enumeration) are exposed
-for cross-checking it; the coset oracle takes its modulus from the
-claim it checks, so it is not independent of it.  numpy serves that
-oracle alone and loads when it first runs.
+One Smith normal form elimination, _eliminate, serves both the
+K-groups and smith_normal_form.  smith_normal_form runs it over the
+integers on one working matrix that carries U and V beside M, so each
+row or column operation is one step on it.  The K-groups (cokernels
+give K0, kernels give K1) need no transforms: they take the unit pivots
+out, run one Bareiss pass over the rest for its rank and a multiple g
+of its determinantal divisor, and, where g > 1, run _eliminate on the
+rest modulo 2g, so that no entry grows past a few times 2g
+(Domich-Kannan-Trotter 1987, Hafner-McCurley 1991).  All arithmetic
+uses Python integers, never floats, so the results are exact.
+
+Oracles that share no code with _eliminate are exposed for
+cross-checking it: rational rank and determinants by fraction-free
+Bareiss elimination (whose rank the K-groups also read), and torsion
+order by determinantal divisors and by literal coset enumeration.  The
+coset oracle takes its modulus from the claim it checks, so it is not
+independent of it.  numpy serves that oracle alone and loads when it
+first runs.
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ class IntegerMatrix:
         """Fraction-free Bareiss elimination; square matrices only."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        rank, last_pivot = _bareiss(self)
+        rank, last_pivot, _ = _bareiss(self.to_rows(), self.cols)
         return last_pivot if rank == self.rows else 0
 
     def is_unimodular(self) -> bool:
@@ -90,17 +96,21 @@ class IntegerMatrix:
                          for i in range(self.rows)) or "(empty)"
 
 
-def _bareiss(m: IntegerMatrix) -> tuple[int, int]:
-    """Fraction-free (Bareiss) elimination of m over the integers.
+def _bareiss(a: list[list[int]], cols: int) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination of the rows a, in place.
 
     A column without a nonzero entry in the rows still to be reduced is
-    skipped.  Every entry stays a minor of m, so each division is exact.
-    Returns the rank and the last pivot, signed by the row swaps: for a
-    square m of full rank, its determinant.
+    skipped.  Every entry stays a minor, so each division is exact: at
+    the step that takes the k-th pivot, the pivot column holds k x k
+    minors from the pivot row down, and no later step writes to that
+    column.  Returns the rank r, the last pivot signed by the row swaps
+    (for a square matrix of full rank, its determinant) and g, the gcd
+    of the last pivot column from the last pivot row down (0 when
+    r = 0).  Those entries are r x r minors, so the gcd of all r x r
+    minors, and with it every nonzero invariant factor, divides g.
     """
-    a = m.to_rows()
-    rows, cols = m.rows, m.cols
-    rank, sign, prev = 0, 1, 1
+    rows = len(a)
+    rank, sign, prev, last = 0, 1, 1, 0
     for k in range(cols):
         if rank == rows:
             break
@@ -119,9 +129,10 @@ def _bareiss(m: IntegerMatrix) -> tuple[int, int]:
             f = ai[k]
             for j in range(k + 1, cols):
                 ai[j] = (ai[j] * p - f * top[j]) // prev
-        prev = p
+        prev, last = p, k
         rank += 1
-    return rank, sign * prev
+    g = math.gcd(*[row[last] for row in a[rank - 1:]]) if rank else 0
+    return rank, sign * prev, g
 
 
 @dataclass(frozen=True)
@@ -185,7 +196,14 @@ def _pivot(w, t: int, rows: int, cols: int) -> tuple[int, int] | None:
     return at
 
 
-def _eliminate(w: list[list[int]], rows: int, cols: int) -> None:
+def _reduce(row: list[int], n: int) -> None:
+    """Take each entry of row of absolute value n or more mod n, in place."""
+    if max(row) >= n or min(row) <= -n:
+        row[:] = [x if -n < x < n else x % n for x in row]
+
+
+def _eliminate(w: list[list[int]], rows: int, cols: int,
+               modulus: int | None = None) -> None:
     """Bring the top-left rows x cols block of w to Smith form in place.
 
     Row operations act on whole rows of w and column operations on whole
@@ -193,6 +211,17 @@ def _eliminate(w: list[list[int]], rows: int, cols: int) -> None:
     transforms; w may be the matrix alone.  Pivot choice is _pivot's,
     which makes the outcome fully deterministic.  Diagonal entries come
     out nonnegative in a divisibility chain.
+
+    With a modulus N, w is the matrix alone, and each row that a row
+    operation changes is taken mod N where an entry reached N in
+    absolute value.  That adds multiples of N e_i to the columns, so the
+    elimination works on the lattice spanned by the columns and N Z^rows:
+    a diagonal entry d stands for gcd(d, N), and each row past
+    min(rows, cols) for N.  A column operation adds less than
+    |w[t][j]| + |p| to a row, and every row it touches but t has just
+    been reduced, so entries stay below a few times N.  The remainders
+    that clear row and column t are below the pivot, so no reduction
+    changes them, and the pivot still shrinks until it divides the rest.
     """
     for t in range(min(rows, cols)):
         while True:
@@ -211,6 +240,8 @@ def _eliminate(w: list[list[int]], rows: int, cols: int) -> None:
                 if w[i][t]:
                     f = w[i][t] // p
                     w[i] = [x - f * y for x, y in zip(w[i], wt)]
+                    if modulus:
+                        _reduce(w[i], modulus)
                     clean = clean and not w[i][t]
             # a column operation changes only the rows with column t nonzero
             touched = [row for row in w if row[t]]
@@ -260,15 +291,64 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
                      block(rows, rows + cols, 0, cols))
 
 
+def _take_out_units(w: list[list[int]], cols: int) -> tuple[int, list[list[int]]]:
+    """Take the unit pivots out of the rows w, in place.
+
+    While some row holds a unit e = ±1, say in column j, every other row
+    with an entry f != 0 in column j loses f*e times that row, at the
+    row's nonzero entries only.  Column j is then zero outside the unit's
+    row, so column operations would clear that row without touching the
+    others, and the row is dropped.  The steps are unimodular, so
+    w ~ I_u + S.  Returns u and S: the rows left, without the u columns
+    of the units.
+    """
+    taken = set()
+    while True:
+        i = next((i for i, row in enumerate(w) if 1 in row or -1 in row), None)
+        if i is None:
+            break
+        pivot = w.pop(i)
+        j = next(j for j, x in enumerate(pivot) if x == 1 or x == -1)
+        scaled = [(k, x * pivot[j]) for k, x in enumerate(pivot) if x]
+        for row in w:
+            f = row[j]
+            if f:
+                for k, x in scaled:
+                    row[k] -= f * x
+        taken.add(j)
+    kept = [j for j in range(cols) if j not in taken]
+    return len(taken), [[row[j] for j in kept] for row in w]
+
+
 def _cokernel_and_kernel(m: IntegerMatrix) -> tuple[AbelianGroup, AbelianGroup]:
-    """Both groups read off the diagonal of one elimination of m alone,
-    without the transforms."""
-    w = m.to_rows()
-    _eliminate(w, m.rows, m.cols)
-    factors = [w[t][t] for t in range(min(m.rows, m.cols)) if w[t][t]]
-    return (AbelianGroup(m.rows - len(factors),
-                         tuple(d for d in factors if d > 1)),
-            AbelianGroup(m.cols - len(factors)))
+    """Both groups of m, without the transforms, in three steps.
+
+    The unit pivots come out first: m ~ I_u + S.  One Bareiss pass over
+    S gives its rank r and a multiple g of its r-th determinantal
+    divisor, so every nonzero invariant factor of S is at most g.  For
+    g = 1, S has no torsion.  Otherwise S is eliminated modulo N = 2g,
+    which keeps its entries small: a diagonal entry d gives the
+    invariant factor gcd(d, N) when that is below N, and a missing rank
+    when it is N.  Exactly r of them must be below N.
+    """
+    units, s = _take_out_units(m.to_rows(), m.cols)
+    rows, cols = len(s), m.cols - units
+    rank, _, g = _bareiss([row[:] for row in s], cols)
+    factors = []
+    if g > 1:
+        modulus = 2 * g
+        for row in s:
+            _reduce(row, modulus)
+        _eliminate(s, rows, cols, modulus)
+        factors = [d for d in (math.gcd(s[t][t], modulus)
+                               for t in range(min(rows, cols))) if d < modulus]
+        if len(factors) != rank:
+            raise ArithmeticError(
+                f"elimination mod {modulus} found {len(factors)} invariant "
+                f"factors where Bareiss found rank {rank}")
+    rank += units
+    return (AbelianGroup(m.rows - rank, tuple(d for d in factors if d > 1)),
+            AbelianGroup(m.cols - rank))
 
 
 def cokernel(m: IntegerMatrix) -> AbelianGroup:
@@ -283,7 +363,9 @@ def kernel(m: IntegerMatrix) -> AbelianGroup:
 
 def k_groups(g) -> tuple[AbelianGroup, AbelianGroup]:
     """K0 and K1 of the graph C*-algebra: cokernel and kernel of A_G,
-    read off one elimination of A_G alone."""
+    by _cokernel_and_kernel: its unit pivots taken out, one Bareiss pass
+    over the rest and, where that finds a gcd g > 1, one elimination of
+    the rest modulo 2g.  No working matrix is larger than A_G."""
     from . import graphs
     return _cokernel_and_kernel(graphs.build_ag(g))
 
@@ -292,7 +374,7 @@ def k_groups(g) -> tuple[AbelianGroup, AbelianGroup]:
 
 def rational_rank(m: IntegerMatrix) -> int:
     """Rank over Q by fraction-free (Bareiss) elimination."""
-    return _bareiss(m)[0]
+    return _bareiss(m.to_rows(), m.cols)[0]
 
 
 def determinant_divisor(m: IntegerMatrix, r: int) -> int:

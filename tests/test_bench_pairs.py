@@ -5,8 +5,10 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
-RUN = """import json, sys, time
+RUN = """import json, os, sys, time
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed in {cache}:
+    os.makedirs("src/__pycache__", exist_ok=True)
 if seed in {slow}:
     time.sleep(60)
 if seed in {pause}:
@@ -37,14 +39,14 @@ END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
 
 
 def fake_tree(root: Path, bad_seeds, slow=(), silent=(), slower=1.0,
-              pause=()) -> Path:
+              pause=(), cache=()) -> Path:
     """A tree whose perfbench/run.py prints a fixed result line; its
-    three time metrics are `slower` seconds, and the seeds in `pause`
-    take a second longer."""
+    three time metrics are `slower` seconds, the seeds in `pause` take a
+    second longer, and those in `cache` leave a src/__pycache__."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(RUN.format(
         bad=set(bad_seeds), slow=set(slow), silent=set(silent), slower=slower,
-        pause=set(pause)))
+        pause=set(pause), cache=set(cache)))
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
     return root
 
@@ -140,3 +142,27 @@ def test_elapsed_seconds_are_kept_per_run_with_each_sides_longest(
     assert seconds[1]["change"] >= 1 and seconds[2]["parent"] >= 1
     assert doc["summary"]["max_seconds"] == {
         side: max(s[side] for s in seconds) for side in ("parent", "change")}
+
+
+def test_bytecode_setting_and_caches_left_are_recorded(tmp_path, monkeypatch):
+    # the machine block keeps the PYTHONDONTWRITEBYTECODE the runs inherit,
+    # and each workload whether a tree held a __pycache__ after its runs:
+    # here only the change's seed 2 leaves one
+    tool = load_tool_on_fake_trees(monkeypatch)
+    parent = fake_tree(tmp_path / "parent", ())
+    change = fake_tree(tmp_path / "change", (), cache=(2,))
+    out = tmp_path / "out.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--out", str(out)]
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert tool.main(argv + ["--workload", "w", "--seeds", "1"]) == 0
+    assert tool.main(argv + ["--workload", "v", "--seeds", "1", "2"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["machine"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert doc["workloads"]["w"]["pycache_after"] == {"parent": False,
+                                                      "change": False}
+    assert doc["workloads"]["v"]["pycache_after"] == {"parent": False,
+                                                      "change": True}
+    out.unlink()
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert tool.main(argv + ["--workload", "w", "--seeds", "1"]) == 0
+    assert json.loads(out.read_text())["machine"]["PYTHONDONTWRITEBYTECODE"] is None

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qcstar import acceptance
+from qcstar import acceptance, cli, graphs, ktheory
 from qcstar.cli import build_parser, main
 from qcstar.ncalgebra import presentation
 
@@ -42,6 +42,27 @@ def test_ktheory_from_file(capsys, tmp_path):
     rc, payload, _ = run_json(capsys, "ktheory", str(f))
     assert rc == 0
     assert payload["k0"] == {"free_rank": 2, "torsion": []}
+
+
+def test_ktheory_vertex_bound(capsys, tmp_path, monkeypatch):
+    # at the bound the command runs; one vertex past it, it exits 2 with
+    # one line before A_G is built or eliminated
+    bound = cli.MAX_KTHEORY_VERTICES
+    at, past = tmp_path / "at.graph", tmp_path / "past.graph"
+    at.write_text("".join(f"vertex v{i}\n" for i in range(bound)))
+    past.write_text("".join(f"vertex v{i}\n" for i in range(bound + 1))
+                    + "edge e v0 v1\n")
+    rc, payload, _ = run_json(capsys, "ktheory", str(at))
+    assert rc == 0 and payload["k0_str"] == f"Z^{bound}"
+
+    def refused(*args):
+        raise AssertionError("started past the bound")
+    monkeypatch.setattr(graphs, "build_ag", refused)
+    monkeypatch.setattr(ktheory, "k_groups", refused)
+    rc, out, err = run(capsys, "ktheory", str(past))
+    assert rc == 2 and out == ""
+    assert err == (f"qcstar: ktheory takes graphs of at most {bound} "
+                   f"vertices; {past} has {bound + 1}\n")
 
 
 def test_ktheory_missing_file(capsys):

@@ -266,9 +266,8 @@ def reference_smith_normal_form(m):
         IntegerMatrix.from_rows(v) if cols else IntegerMatrix(0, 0, ()))
 
 
-def groups_from(res, m):
-    """Cokernel and kernel of m read off a Smith form's diagonal."""
-    factors = res.invariant_factors()
+def groups_from(factors, m):
+    """Cokernel and kernel of m from its nonzero invariant factors."""
     return (AbelianGroup(m.rows - len(factors),
                          tuple(d for d in factors if d > 1)),
             AbelianGroup(m.cols - len(factors)))
@@ -278,8 +277,9 @@ def assert_matches_reference(m):
     got, want = smith_normal_form(m), reference_smith_normal_form(m)
     # IntegerMatrix equality compares the shapes as well as the entries
     assert (got.u, got.s, got.v) == (want.u, want.s, want.v), m
-    # the groups come from an elimination of m alone, without U and V
-    assert (cokernel(m), kernel(m)) == groups_from(want, m), m
+    # the groups come from eliminations of m alone, without U and V
+    assert (cokernel(m), kernel(m)) == groups_from(want.invariant_factors(),
+                                                   m), m
     return want
 
 
@@ -322,12 +322,110 @@ def random_multigraph(rng, n):
     return Graph(tuple(names), tuple(edges))
 
 
+def integer_groups(m):
+    """Cokernel and kernel of m read off the integer elimination of m
+    alone, without a modulus: the route the K-groups took before."""
+    w = m.to_rows()
+    ktheory._eliminate(w, m.rows, m.cols)
+    return groups_from([w[t][t] for t in range(min(m.rows, m.cols)) if w[t][t]],
+                       m)
+
+
 def test_snf_matches_reference_on_graph_matrices():
     rng = random.Random(40)
     for n in (1, 2, 3, 5, 8, 13, 21, 27, 34, 40, 40, 47, 53, 60):
         g = random_multigraph(rng, n)
         a = build_ag(g)
-        assert k_groups(g) == groups_from(assert_matches_reference(a), a)
+        want = assert_matches_reference(a).invariant_factors()
+        assert k_groups(g) == groups_from(want, a)
+    # past 60 vertices the transforms take seconds; the integer
+    # elimination of A_G alone still finishes in well under one
+    for n in (80, 100):
+        g = random_multigraph(rng, n)
+        assert k_groups(g) == integer_groups(build_ag(g))
+
+
+def random_unimodular(rng, n):
+    """A product of 3n seeded elementary row operations on I_n."""
+    u = identity(n).to_rows()
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        f = rng.randint(-3, 3)
+        u[i] = [x + f * y for x, y in zip(u[i], u[j])]
+    return IntegerMatrix(n, n, tuple(x for row in u for x in row))
+
+
+def test_modular_groups_match_reference_on_seeded_matrices():
+    rng = random.Random(16)
+    # planted invariant factors, some past 2^64: U D V with D diagonal in
+    # a divisibility chain and U, V random unimodular
+    for _ in range(150):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        steps = [rng.choice([1, 1, 2, 3, 5, 6, 2 ** 65, 3 ** 41 + 2])
+                 for _ in range(rng.randint(0, min(rows, cols)))]
+        chain = [math.prod(steps[:k + 1]) for k in range(len(steps))]
+        d = IntegerMatrix(rows, cols, tuple(
+            chain[i] if i == j and i < len(chain) else 0
+            for i in range(rows) for j in range(cols)))
+        m = random_unimodular(rng, rows).multiply(d).multiply(
+            random_unimodular(rng, cols))
+        want = assert_matches_reference(m)
+        assert want.invariant_factors() == tuple(chain), m
+    # square nonsingular: the last Bareiss step holds the determinant alone
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        while True:
+            m = IntegerMatrix(n, n, tuple(
+                rng.randint(-12, 12) for _ in range(n * n)))
+            if m.determinant():
+                break
+        assert_matches_reference(m)
+    # zero columns, rank-deficient products and empty shapes
+    for _ in range(150):
+        rows, cols, inner = (rng.randint(1, 6), rng.randint(1, 6),
+                             rng.randint(1, 3))
+        left = IntegerMatrix(rows, inner, tuple(
+            rng.randint(-6, 6) for _ in range(rows * inner)))
+        right = IntegerMatrix(inner, cols, tuple(
+            0 if j % 3 == 0 else rng.randint(-6, 6)
+            for _ in range(inner) for j in range(cols)))
+        m = left.multiply(right)
+        assert rational_rank(m) <= inner
+        assert_matches_reference(m)
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 2), (4, 1)):
+        assert_matches_reference(zeros(rows, cols))
+
+
+def rank_mod(m, p):
+    """Rank of m over Z/p, p prime, by row reduction."""
+    rows = [[x % p for x in m.row(i)] for i in range(m.rows)]
+    rank = 0
+    for j in range(m.cols):
+        at = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        top = rows[rank]
+        inv = pow(top[j], -1, p)
+        for i in range(rank + 1, len(rows)):
+            if rows[i][j]:
+                f = rows[i][j] * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def test_k_groups_of_a_200_vertex_graph_against_ranks():
+    # no reference finishes at this size: the free ranks must follow from
+    # the rank over Q, and the number of torsion factors divisible by p
+    # from the rank drop modulo p
+    g = random_multigraph(random.Random(200), 200)
+    a = build_ag(g)
+    k0, k1 = k_groups(g)
+    rank = rational_rank(a)
+    assert (k0.free_rank, k1.free_rank) == (a.rows - rank, a.cols - rank)
+    for p in (2, 3, 5, 7):
+        assert sum(d % p == 0 for d in k0.torsion) == rank - rank_mod(a, p), p
 
 
 def test_torsion_oracle_known():
@@ -525,24 +623,60 @@ def test_k_groups_single_loop():
     assert k1 == AbelianGroup(1, ())
 
 
-def test_k_groups_eliminate_a_g_alone(monkeypatch):
-    # one elimination of the matrix itself, with no transform blocks
-    # beside or below it, and no Smith form with transforms
+def test_k_groups_work_within_a_g_and_build_no_transforms(monkeypatch):
+    # every working matrix, Bareiss's and the modular elimination's, fits
+    # inside A_G, and no Smith form with U and V is built
+    rng = random.Random(40)
+    graphs = [builtin_graph("G3")] + [random_multigraph(rng, n)
+                                      for n in (5, 21, 40, 60)]
+    want = [integer_groups(build_ag(g)) for g in graphs]
     shapes = []
-    eliminate = ktheory._eliminate
+    bareiss, eliminate = ktheory._bareiss, ktheory._eliminate
 
-    def counted(w, rows, cols):
-        shapes.append((len(w), {len(row) for row in w}, rows, cols))
-        return eliminate(w, rows, cols)
+    def seen(name, a, rows, cols):
+        shapes.append((name, len(a), max(map(len, a), default=0), rows, cols))
+
+    def counted_bareiss(a, cols):
+        seen("bareiss", a, len(a), cols)
+        return bareiss(a, cols)
+
+    def counted_eliminate(w, rows, cols, modulus=None):
+        seen(("eliminate", modulus), w, rows, cols)
+        return eliminate(w, rows, cols, modulus)
 
     def refused(m):
         raise AssertionError("k_groups built U and V")
-    monkeypatch.setattr(ktheory, "_eliminate", counted)
+    monkeypatch.setattr(ktheory, "_bareiss", counted_bareiss)
+    monkeypatch.setattr(ktheory, "_eliminate", counted_eliminate)
     monkeypatch.setattr(ktheory, "smith_normal_form", refused)
-    assert k_groups(builtin_graph("G3")) == (AbelianGroup(1, (2,)),
-                                             AbelianGroup(0, ()))
-    a = build_ag(builtin_graph("G3"))
-    assert shapes == [(a.rows, {a.cols}, a.rows, a.cols)]
+    moduli = []
+    for g, groups in zip(graphs, want):
+        shapes.clear()
+        a = build_ag(g)
+        assert k_groups(g) == groups
+        assert shapes[0][0] == "bareiss" and len(shapes) <= 2
+        for _, height, width, rows, cols in shapes:
+            assert height <= a.rows and width <= a.cols, (shapes, a.rows, a.cols)
+            assert rows <= height and cols <= width
+        moduli += [name[1] for name, *_ in shapes[1:]]
+    # G3 has torsion Z_2; the others reach the modular elimination with
+    # torsion-free K0 and a Bareiss gcd above 1
+    assert len(moduli) >= 3 and None not in moduli and moduli[0] == 4
+
+
+def test_a_modulus_that_misses_torsion_is_refused(monkeypatch):
+    # [[6]] has rank 1 and torsion 6; a Bareiss gcd of 3 would give the
+    # modulus 6, where the one diagonal entry reads as a missing rank, so
+    # the counts disagree and nothing is answered
+    bareiss = ktheory._bareiss
+
+    def halved(a, cols):
+        rank, last, g = bareiss(a, cols)
+        return rank, last, g // 2
+    monkeypatch.setattr(ktheory, "_bareiss", halved)
+    with pytest.raises(ArithmeticError, match="mod 6 found 0 invariant "
+                                              "factors where Bareiss found rank 1"):
+        cokernel(IntegerMatrix.from_rows([[6]]))
 
 
 def test_rational_rank_matches_gauss_jordan():

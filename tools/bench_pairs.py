@@ -8,14 +8,16 @@ result line) as it is, with the run's exit code and elapsed seconds
 beside it.  A run gets RUN_TIMEOUT seconds; one that times out (exit
 code "timeout") or prints no result line is kept with a null result and
 counts as bad.  The file written holds the command, the machine (cores,
-Python, numpy, load average before and after), every pair's two result
-lines, per end-to-end metric the medians over the pairs where both
-sides have a result, the parent's quartiles, the number of pairs the
-change won, the change of the median over the parent's and whether
-that change is past the metric's bound, and per side the number of bad
-runs (no result, ``correct`` false or ``failed`` above 0) and the
-longest run's seconds, which shows the headroom left before
-RUN_TIMEOUT.  The end-to-end metrics, with their ``better`` direction
+Python, numpy, the PYTHONDONTWRITEBYTECODE the runs inherit), and per
+workload the load average before and after, whether each tree held a
+``__pycache__`` directory after its runs (without one, every set-up
+compiled ``src/``), every pair's two result lines, per end-to-end
+metric the medians over the pairs where both sides have a result, the
+parent's quartiles, the number of pairs the change won, the change of
+the median over the parent's and whether that change is past the
+metric's bound, and per side the number of bad runs (no result,
+``correct`` false or ``failed`` above 0) and the longest run's
+seconds, which shows the headroom left before RUN_TIMEOUT.  The end-to-end metrics, with their ``better`` direction
 and ``bound``, are read from the change tree's ``BENCHMARK.json``:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
@@ -136,7 +138,9 @@ def main(argv=None) -> int:
             "order": "per seed, both sides in turn, the first side alternating",
             "machine": {"nproc": os.cpu_count(),
                         "python": platform.python_version(),
-                        "numpy": numpy.__version__},
+                        "numpy": numpy.__version__,
+                        "PYTHONDONTWRITEBYTECODE":
+                            os.environ.get("PYTHONDONTWRITEBYTECODE")},
             "workloads": {}})
     worse_runs, breaches = [], []
     for workload in args.workload:
@@ -164,6 +168,8 @@ def main(argv=None) -> int:
         doc["workloads"][workload] = {
             "seeds": args.seeds,
             "load_average": {"before": load_before, "after": os.getloadavg()},
+            "pycache_after": {side: any(getattr(args, side).rglob("__pycache__"))
+                              for side in ("parent", "change")},
             "pairs": pairs, "summary": summ}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
         for metric in end_to_end:
