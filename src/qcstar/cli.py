@@ -25,6 +25,13 @@ SCHEMA = "qcstar/1"
 # vertices and 16 s at 350 (2 cores, Python 3.11.7)
 MAX_KTHEORY_VERTICES = 300
 
+# rep residuals, rep spectrum and reproduce-paper refuse a --dim past this
+# before building a representation.  At the bound, reproduce-paper takes
+# 16 s, most of it criterion 7, and 284 MB, most of it criterion 4's
+# dense dim x dim matrix, which grows with the square of dim; rep
+# residuals and rep spectrum take 0.3-0.4 s (2 cores, Python 3.11.7)
+MAX_REP_DIM = 4096
+
 _USAGE_ERRORS = (
     graphs.GraphError,
     ncalgebra.ExpressionError,
@@ -220,7 +227,15 @@ def _cmd_algebra(args) -> int:
     return 0
 
 
+def _check_dim(dim: int) -> None:
+    if dim > MAX_REP_DIM:
+        raise reps.RepresentationError(
+            f"--dim takes at most {MAX_REP_DIM}; got {dim}")
+
+
 def _cmd_rep(args) -> int:
+    if args.rep_cmd in ("residuals", "spectrum"):
+        _check_dim(args.dim)
     if args.rep_cmd == "residuals":
         rep = reps.build_rep(args.rep, args.q, args.dim, theta=args.theta)
         if args.algebra and rep.presentation.name != args.algebra:
@@ -295,6 +310,7 @@ def _cmd_rep(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    _check_dim(args.dim)
     cfg = acceptance.RunConfig(q=args.q, dim=args.dim, n_max=args.nmax,
                                seed=args.seed)
     results = acceptance.run_all(cfg)

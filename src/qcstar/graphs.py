@@ -162,6 +162,16 @@ def build_ag(g: Graph) -> IntegerMatrix:
                                for w in g.vertices for v in cols))
 
 
+# Cap on the size of an ideal family.  A vertex with a loop and edges to
+# k sinks has 2^k + 1 hereditary saturated sets, and no enumeration is
+# faster than its output, so past the cap hereditary_saturated_sets and
+# lattices_isomorphic raise GraphError.  The cap is the family of a loop
+# and 12 sinks: enumerating it takes 0.2 s, and matching it with itself
+# 55 s (2 cores, Python 3.11.7); with 13 sinks the enumeration stops at
+# the cap after about 0.2 s.
+MAX_IDEAL_SETS = 2 ** 12 + 1
+
+
 def hereditary_saturated_sets(g: Graph) -> tuple[VertexSet, ...]:
     """All hereditary saturated vertex sets, enumerated by closure.
 
@@ -172,7 +182,8 @@ def hereditary_saturated_sets(g: Graph) -> tuple[VertexSet, ...]:
     every v outside it visits the whole family, in O(#sets * V * (V + E)).
 
     Ordered by size then by vertex order, so the output is deterministic.
-    Always contains the empty set and the full vertex set.
+    Always contains the empty set and the full vertex set.  Raises
+    GraphError as soon as more than MAX_IDEAL_SETS sets are found.
     """
     index = {v: i for i, v in enumerate(g.vertices)}
     succ = [set() for _ in g.vertices]   # distinct ranges of each vertex
@@ -209,6 +220,10 @@ def hereditary_saturated_sets(g: Graph) -> tuple[VertexSet, ...]:
                 c = closure(h | {v})
                 if c not in found:
                     found.add(c)
+                    if len(found) > MAX_IDEAL_SETS:
+                        raise GraphError(
+                            "too many hereditary saturated sets: the cap "
+                            f"is {MAX_IDEAL_SETS}")
                     todo.append(c)
     return tuple(VertexSet(g, tuple(g.vertices[i] for i in members))
                  for members in sorted((sorted(h) for h in found),
@@ -223,9 +238,13 @@ def lattices_isomorphic(sets_a, sets_b) -> bool:
     once.  Otherwise a depth-first search extends a partial bijection one
     element of sets_a at a time, smallest first, pairing it only with an
     unused element of sets_b of equal signature whose inclusions, both
-    ways, agree with every element already placed.
+    ways, agree with every element already placed.  Families of more
+    than MAX_IDEAL_SETS sets raise GraphError.
     """
     n = len(sets_a)
+    if max(n, len(sets_b)) > MAX_IDEAL_SETS:
+        raise GraphError(f"lattices of more than {MAX_IDEAL_SETS} sets "
+                         "are not matched")
     if n != len(sets_b):
         return False
     rel_a = _inclusions(sorted(sets_a, key=len))

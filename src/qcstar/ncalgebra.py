@@ -13,8 +13,10 @@ monomial order, so every element has a normal form supported on an explicit
 monomial basis.  Coefficients are exact Laurent polynomials in q over the
 rationals.  Generator maps between presentations (the rows of _MORPHISMS:
 an isomorphism, the order-two automorphisms of the sphere, and two
-inclusions) are verified by reducing the image of every defining relation
-to normal form.
+inclusions) build the free-algebra image of an element and normalise it
+once.  They are verified by reducing the image of every defining
+relation to normal form, and fixed points are decided by one normal form
+of phi(x) - x.
 """
 
 from __future__ import annotations
@@ -626,6 +628,12 @@ class GeneratorMap:
     optional exponent scale composes with a substitution q -> q^scale on
     coefficients, used when source and target deformation parameters
     differ by a fixed power.
+
+    Every operation builds the free-algebra image phi(x) with _image and
+    normalises once.  The reducer rewrites each term on its own, so nf is
+    linear, and it is unique (check_local_confluence, Bergman's diamond
+    lemma); a difference such as phi(x) - x is therefore reduced in one
+    pass, with words that cancel never rewritten.
     """
 
     def __init__(self, name: str, source: AlgebraPresentation,
@@ -656,27 +664,38 @@ class GeneratorMap:
             ).is_zero()
             for i in range(len(source.generators)))
 
-    def apply(self, x: Element) -> Element:
-        """Image of x, reduced to normal form in the target."""
+    def _image(self, x: Element) -> Element:
+        """phi(x) in the target's free algebra, not reduced: each word's
+        letters expanded through their images, equal words merged once."""
         if x.presentation is not self.source:
             raise PresentationError("element does not belong to the source")
-        total = self.target.zero()
+        images = self.images
+        terms = []
         for word, coeff in x._terms.items():
             if self.q_scale != 1:
                 coeff = coeff.scale_exponents(self.q_scale)
-            prod = self.target.one().scale(coeff)
+            expanded = [((), coeff)]
             for letter in word:
-                prod = prod * self.images[letter]
-            total = total + prod
-        return self.target.normal_form(total)
+                expanded = [(w + v, c * d) for w, c in expanded
+                            for v, d in images[letter]._terms.items()]
+            terms += expanded
+        merged: dict[tuple[int, ...], QLaurent] = {}
+        for w, c in terms:
+            s = merged.get(w)
+            merged[w] = c if s is None else s + c
+        return Element(self.target, merged)
+
+    def apply(self, x: Element) -> Element:
+        """Image of x, reduced to normal form in the target: nf(phi(x))."""
+        return self.target.normal_form(self._image(x))
 
     def verify(self) -> "MorphismReport":
         """Reduce the image of every source relation; all must vanish."""
         entries = []
         for rule in self.source.rules:
             lhs = Element(self.source, {rule.left: QLaurent.one()})
-            rhs = Element(self.source, dict(rule.right))
-            residual = self.target.normal_form(self.apply(lhs) - self.apply(rhs))
+            rhs = Element(self.source, rule.right)
+            residual = self.target.normal_form(self._image(lhs - rhs))
             entries.append((rule.label, residual))
         return MorphismReport(self.name, tuple(entries), self.star_compatible)
 
@@ -686,7 +705,8 @@ class GeneratorMap:
             return False
         for g in self.source.generators:
             x = self.source.gen(g)
-            if not self.source.normal_form(self.apply(self.apply(x)) - x).is_zero():
+            if not self.source.normal_form(
+                    self._image(self.apply(x)) - x).is_zero():
                 return False
         return True
 
@@ -740,10 +760,15 @@ def builtin_morphism(name: str) -> GeneratorMap:
 
 
 def is_fixed(auto: GeneratorMap, x: Element) -> bool:
-    """True when the automorphism fixes x in the quotient algebra."""
+    """True when the automorphism fixes x in the quotient algebra.
+
+    Decided as nf(phi(x) - x) = 0 with one normal form: nf is linear, so
+    this equals nf(phi(x)) - nf(x), and for r1 and r2 the words that phi
+    fixes cancel before any rewriting.
+    """
     if auto.source is not auto.target:
         raise PresentationError("fixed points need an endomorphism")
-    return auto.source.normal_form(auto.apply(x) - x).is_zero()
+    return auto.source.normal_form(auto._image(x) - x).is_zero()
 
 
 def check_local_confluence(p: AlgebraPresentation) -> list[tuple[str, Element]]:

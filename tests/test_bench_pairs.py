@@ -16,7 +16,7 @@ if seed in {pause}:
 if seed in {silent}:
     sys.exit(3)
 ok = seed not in {bad}
-metrics = {{m: {{"value": {slower}, "unit": "s"}} for m in
+metrics = {{m: {{"value": {values}.get(seed, {slower}), "unit": "s"}} for m in
            ("wall_s", "setup_s", "slowest_op_s")}}
 metrics["peak_rss_mb"] = {{"value": 40.0, "unit": "MB"}}
 print(json.dumps({{"correct": ok, "attempted": 3, "failed": 0 if ok else 1,
@@ -39,14 +39,15 @@ END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
 
 
 def fake_tree(root: Path, bad_seeds, slow=(), silent=(), slower=1.0,
-              pause=(), cache=()) -> Path:
+              pause=(), cache=(), values=None) -> Path:
     """A tree whose perfbench/run.py prints a fixed result line; its
-    three time metrics are `slower` seconds, the seeds in `pause` take a
-    second longer, and those in `cache` leave a src/__pycache__."""
+    three time metrics are `slower` seconds, or values[seed] for a seed
+    in `values`, the seeds in `pause` take a second longer, and those in
+    `cache` leave a src/__pycache__."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(RUN.format(
         bad=set(bad_seeds), slow=set(slow), silent=set(silent), slower=slower,
-        pause=set(pause), cache=set(cache)))
+        pause=set(pause), cache=set(cache), values=dict(values or {})))
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
     return root
 
@@ -166,3 +167,72 @@ def test_bytecode_setting_and_caches_left_are_recorded(tmp_path, monkeypatch):
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert tool.main(argv + ["--workload", "w", "--seeds", "1"]) == 0
     assert json.loads(out.read_text())["machine"]["PYTHONDONTWRITEBYTECODE"] is None
+
+
+def result(seconds):
+    """A result line whose time metrics read `seconds`, RSS 40 MB."""
+    metrics = {m["name"]: {"value": seconds} for m in END_TO_END}
+    metrics["peak_rss_mb"] = {"value": 40.0}
+    return {"correct": True, "failed": 0, "metrics": metrics}
+
+
+def gains(parent, change):
+    """gain_resolved per metric for one pair per seed of parent; a seed
+    missing from change is a pair without a change result."""
+    pairs = [{"parent": result(v), "change": (result(change[seed])
+                                              if seed in change else None),
+              "seconds": {"parent": 1.0, "change": 1.0}}
+             for seed, v in parent.items()]
+    summary = load_tool().summary(pairs, END_TO_END)
+    return {m["name"]: summary[m["name"]]["gain_resolved"] for m in END_TO_END}
+
+
+def test_gain_resolved_takes_nine_wins_in_ten_and_the_parents_spread():
+    # the parent reads 1.01 ... 1.10 s (quartiles 1.0275 and 1.0825);
+    # peak_rss_mb reads 40 on both sides, ties only, never resolved
+    parent = {seed: 1 + seed / 100 for seed in range(1, 11)}
+    fast = dict.fromkeys(parent, 0.9)
+    cases = [
+        # one loss: 9 wins of 10, medians 0.155 apart
+        ({**fast, 5: 2.0}, True),
+        # two losses: 8 wins of 10
+        ({**fast, 5: 2.0, 6: 1.06}, False),
+        # a win in every pair, but by less than the parent's spread
+        ({seed: v - 0.001 for seed, v in parent.items()}, False),
+        # a tie is no win
+        ({**fast, 5: parent[5]}, True),
+        ({**fast, 5: parent[5], 6: parent[6]}, False),
+        # a pair without a change result is a pair run but not won
+        ({seed: 0.9 for seed in range(2, 11)}, True),
+        ({seed: 0.9 for seed in range(3, 11)}, False),
+    ]
+    for i, (change, resolved) in enumerate(cases):
+        assert gains(parent, change) == {
+            "wall_s": resolved, "setup_s": resolved,
+            "slowest_op_s": resolved, "peak_rss_mb": False}, i
+    # the change is worse: never a gain, however clear
+    assert gains(fast, parent)["wall_s"] is False
+
+
+def test_gain_resolved_is_written_and_few_pairs_warn(
+        tmp_path, monkeypatch, capsys):
+    tool = load_tool_on_fake_trees(monkeypatch)
+    parent_values = {seed: 1 + seed / 100 for seed in range(1, 11)}
+    parent = fake_tree(tmp_path / "parent", (), values=parent_values)
+    change = fake_tree(tmp_path / "change", (), slower=0.9, values={5: 2.0})
+    out = tmp_path / "out.json"
+    argv = ["--parent", str(parent), "--change", str(change),
+            "--workload", "w", "--out", str(out), "--seeds"]
+    assert tool.main(argv + [str(seed) for seed in parent_values]) == 0
+    summary = json.loads(out.read_text())["workloads"]["w"]["summary"]
+    assert summary["wall_s"]["gain_resolved"] is True
+    assert summary["peak_rss_mb"]["gain_resolved"] is False
+    assert "warning" not in capsys.readouterr().err
+    out.unlink()
+    assert tool.main(argv + ["1", "2", "3"]) == 0
+    assert json.loads(out.read_text())["workloads"]["w"]["summary"][
+        "wall_s"]["gain_resolved"] is True
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning: ")]
+    assert warnings == ["warning: 3 pairs per workload; resolving a gain "
+                        "takes at least 10"]

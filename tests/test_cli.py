@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qcstar import acceptance, cli, graphs, ktheory
+from qcstar import representations as reps
 from qcstar.cli import build_parser, main
 from qcstar.ncalgebra import presentation
 
@@ -63,6 +64,39 @@ def test_ktheory_vertex_bound(capsys, tmp_path, monkeypatch):
     assert rc == 2 and out == ""
     assert err == (f"qcstar: ktheory takes graphs of at most {bound} "
                    f"vertices; {past} has {bound + 1}\n")
+
+
+def test_rep_dim_bound(capsys, monkeypatch):
+    # one past the bound, each command that builds representations exits
+    # 2 with one line and builds nothing; at the bound it goes on to build
+    bound = cli.MAX_REP_DIM
+
+    class Built(Exception):
+        pass
+
+    def built(*args, **kwargs):
+        raise Built
+    monkeypatch.setattr(reps, "build_rep", built)
+    monkeypatch.setattr(acceptance, "run_all", built)
+    for argv in (["rep", "residuals", "--rep", "rho"],
+                 ["rep", "spectrum", "--rep", "rho", "--generator", "P"],
+                 ["reproduce-paper"]):
+        rc, out, err = run(capsys, *argv, "--dim", str(bound + 1))
+        assert rc == 2 and out == ""
+        assert err == f"qcstar: --dim takes at most {bound}; got {bound + 1}\n"
+        with pytest.raises(Built):
+            main(argv + ["--dim", str(bound)])
+
+
+def test_graph_ideals_past_the_cap(capsys, tmp_path):
+    # a loop and 13 sinks has 2^13 + 1 hereditary saturated sets
+    f = tmp_path / "sinks.graph"
+    f.write_text("vertex v\nedge e v v\n" + "".join(
+        f"vertex w{i}\nedge f{i} v w{i}\n" for i in range(13)))
+    rc, out, err = run(capsys, "graph", "ideals", str(f))
+    assert rc == 2 and out == ""
+    assert err == (f"qcstar: too many hereditary saturated sets: the cap is "
+                   f"{graphs.MAX_IDEAL_SETS}\n")
 
 
 def test_ktheory_missing_file(capsys):

@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from qcstar.graphs import (
     BUILTIN_GRAPHS,
+    MAX_IDEAL_SETS,
     Edge,
     Graph,
     GraphError,
@@ -192,6 +194,31 @@ def test_lattice_isomorphism():
     assert lattices_isomorphic(l2, l3)
     assert not lattices_isomorphic(l1, l2)
     assert lattices_isomorphic(l1, l1)
+
+
+def loop_and_sinks(k):
+    """A loop at v and one edge to each of k sinks: 2^k + 1 ideals."""
+    return parse_graph("vertex v\nedge e v v\n" + "".join(
+        f"vertex w{i}\nedge f{i} v w{i}\n" for i in range(k)))
+
+
+def test_ideal_families_past_the_cap_are_refused():
+    # the smallest loop-plus-sinks graph past the cap fails fast; the one
+    # below it is enumerated in full
+    k = (MAX_IDEAL_SETS - 1).bit_length()
+    assert 2 ** (k - 1) + 1 <= MAX_IDEAL_SETS < 2 ** k + 1
+    below = hereditary_saturated_sets(loop_and_sinks(k - 1))
+    assert len(below) == 2 ** (k - 1) + 1
+    start = time.perf_counter()
+    with pytest.raises(GraphError, match=f"the cap is {MAX_IDEAL_SETS}"):
+        hereditary_saturated_sets(loop_and_sinks(k))
+    assert time.perf_counter() - start < 2
+    # matching refuses a family past the cap before comparing anything
+    past = below * 3
+    assert len(past) > MAX_IDEAL_SETS
+    for a, b in ((past, below), (below, past), (past, past)):
+        with pytest.raises(GraphError, match=f"more than {MAX_IDEAL_SETS}"):
+            lattices_isomorphic(a, b)
 
 
 def test_graph_validation_rejects_bad_construction():

@@ -5,6 +5,8 @@ import pytest
 from qcstar.coefficients import QLaurent
 from qcstar.ncalgebra import (
     BUILTIN_MORPHISMS,
+    AlgebraPresentation,
+    Element,
     GeneratorMap,
     PresentationError,
     builtin_morphism,
@@ -173,3 +175,109 @@ def test_custom_generator_map_detects_broken_relations():
     report = bad.verify()
     assert not report.ok
     assert any(not residual.is_zero() for _, residual in report.entries)
+
+
+def reference_image(m, x):
+    """phi(x) built letter by letter, one Element product per letter: the
+    oracle for GeneratorMap._image, which expands term lists instead."""
+    total = m.target.zero()
+    for word, coeff in x.terms().items():
+        if m.q_scale != 1:
+            coeff = coeff.scale_exponents(m.q_scale)
+        prod = m.target.one().scale(coeff)
+        for letter in word:
+            prod = prod * m.images[letter]
+        total = total + prod
+    return total
+
+
+def reference_apply(m, x):
+    return m.target.normal_form(reference_image(m, x))
+
+
+@pytest.mark.parametrize("name", BUILTIN_MORPHISMS)
+def test_apply_matches_the_product_chain(name):
+    m = builtin_morphism(name)
+    rng = random.Random(1700 + BUILTIN_MORPHISMS.index(name))
+    for _ in range(200):
+        x = random_element(m.source, rng, max_degree=6)
+        assert m.apply(x) == reference_apply(m, x), (name, str(x))
+
+
+@pytest.mark.parametrize("name", ("r1", "r2"))
+def test_is_fixed_matches_two_normal_forms(name):
+    # random elements are rarely fixed, so each is also symmetrised in
+    # the free algebra, x + phi(x), which every involution on generators
+    # fixes; both answers must turn up
+    m = builtin_morphism(name)
+    p = m.source
+    rng = random.Random(1717)
+    seen = set()
+    for _ in range(150):
+        x = random_element(p, rng, max_degree=6)
+        for y in (x, x + reference_image(m, x), p.normal_form(x)):
+            want = p.normal_form(reference_apply(m, y) - y).is_zero()
+            assert is_fixed(m, y) == want, (name, str(y))
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def colliding_map():
+    """A -> X - q X Y and B -> q Y Z + Z in the free algebra on X, Y, Z:
+    the image of A B reaches X Y Z twice, and the two cancel."""
+    source = AlgebraPresentation("ab", ("A", "B"), [])
+    target = AlgebraPresentation("xyz", ("X", "Y", "Z"), [])
+    images = {"A": target.parse("X - q X Y"), "B": target.parse("q Y Z + Z")}
+    return GeneratorMap("collide", source, target, images, q_scale=3)
+
+
+def test_images_that_collide_merge_and_cancel():
+    m = colliding_map()
+    src, tgt = m.source, m.target
+    image = m._image(src.parse("A B"))
+    assert image == tgt.parse("X Z - q^2 X Y^2 Z")
+    assert (tgt.gen_index("X"), tgt.gen_index("Y"), tgt.gen_index("Z")) \
+        not in image.terms()
+    # equal words from different source words merge too, and the source
+    # coefficients pass through q -> q^3
+    x = src.parse("q A B + 2 B A - A^2")
+    assert m.apply(x) == reference_apply(m, x) == tgt.parse(
+        "q^3 X Z - q^5 X Y^2 Z + 2q Y Z X + 2 Z X - 2q^2 Y Z X Y - 2q Z X Y"
+        " - X^2 + q X^2 Y + q X Y X - q^2 X Y X Y")
+    rng = random.Random(1719)
+    for _ in range(200):
+        x = random_element(src, rng, max_degree=5)
+        assert m.apply(x) == reference_apply(m, x), str(x)
+    assert m._image(src.parse("A B - B A + B A")).terms() == image.terms()
+    assert m._image(src.parse("A B - A B")).is_zero()
+
+
+def test_verify_residuals_match_the_product_chain():
+    # the built-in maps leave every residual 0; the broken map of the test
+    # above leaves some nonzero, and each prints as it did before
+    sphere = presentation("sphere")
+    maps = [builtin_morphism(name) for name in BUILTIN_MORPHISMS]
+    maps.append(GeneratorMap("bad", sphere, sphere,
+                             {"K": sphere.one(), "L": sphere.gen("L")}))
+    for m in maps:
+        want = []
+        for rule in m.source.rules:
+            lhs = reference_apply(m, Element(m.source, {rule.left: QLaurent.one()}))
+            rhs = reference_apply(m, Element(m.source, rule.right))
+            want.append((rule.label, str(m.target.normal_form(lhs - rhs))))
+        got = [(label, str(residual)) for label, residual in m.verify().entries]
+        assert got == want, m.name
+    assert any(text != "0" for _, text in got)
+
+
+def test_foreign_elements_are_refused_by_every_operation():
+    sphere, disc = presentation("sphere"), presentation("disc")
+    with pytest.raises(PresentationError):
+        builtin_morphism("rp2-inclusion").apply(sphere.gen("K"))
+    with pytest.raises(PresentationError):
+        builtin_morphism("disc-inclusion").apply(sphere.gen("L"))
+    for name in ("r1", "r2"):
+        with pytest.raises(PresentationError):
+            is_fixed(builtin_morphism(name), disc.gen("x"))
+        with pytest.raises(PresentationError):
+            is_fixed(builtin_morphism(name), presentation("sphere", "1/2").gen("K"))

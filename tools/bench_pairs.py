@@ -15,7 +15,10 @@ compiled ``src/``), every pair's two result lines, per end-to-end
 metric the medians over the pairs where both sides have a result, the
 parent's quartiles, the number of pairs the change won, the change of
 the median over the parent's and whether that change is past the
-metric's bound, and per side the number of bad runs (no result,
+metric's bound, whether a gain is resolved (the change better in at
+least nine tenths of all pairs run, ties counting for neither, and its
+median better than the parent's by more than the parent's interquartile
+range), and per side the number of bad runs (no result,
 ``correct`` false or ``failed`` above 0) and the longest run's
 seconds, which shows the headroom left before RUN_TIMEOUT.  The end-to-end metrics, with their ``better`` direction
 and ``bound``, are read from the change tree's ``BENCHMARK.json``:
@@ -31,7 +34,8 @@ The exit code is 1 when a change-side run has no result, is not
 correct or fails more operations than the parent's run of its pair, or
 when a median is worse than the parent's by more than its bound; each
 such run and breach is listed on standard error after the file is
-written.
+written.  A workload run with fewer than MIN_PAIRS pairs gets a warning
+there too, since no gain can be resolved from so few.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from pathlib import Path
 import numpy
 
 RUN_TIMEOUT = 180   # seconds; perfbench/run.py says every run ends within it
+MIN_PAIRS = 10
 
 
 def command(workload: str, seed) -> list[str]:
@@ -94,7 +99,9 @@ def shown(result: dict | None, key: str) -> str:
 def summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per end-to-end metric of BENCHMARK.json, the medians and their
     change; change_over_parent is relative (None for a parent median of
-    0), and past_bound says the change is worse by more than the bound."""
+    0), past_bound says the change is worse by more than the bound, and
+    gain_resolved that it is better in 9/10 of all pairs run and by more
+    than the parent's interquartile range."""
     out = {}
     both = [p for p in pairs if p["parent"] is not None and p["change"] is not None]
     for metric in end_to_end if both else ():
@@ -103,9 +110,12 @@ def summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
         change = [p["change"]["metrics"][name]["value"] for p in both]
         quartiles = (statistics.quantiles(parent, n=4) if len(parent) > 1
                      else parent * 3)
+        spread = quartiles[2] - quartiles[0]
         pm, cm = statistics.median(parent), statistics.median(change)
         over = (cm - pm) / pm if pm else None
-        worse = cm > pm if metric["better"] == "lower" else cm < pm
+        sign = 1 if metric["better"] == "lower" else -1   # > 0: change better
+        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        worse = sign * (pm - cm) < 0
         out[name] = {"parent_median": pm,
                      "change_median": cm,
                      "parent_quartiles": [quartiles[0], quartiles[2]],
@@ -114,7 +124,9 @@ def summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
                      "pairs": len(both),
                      "change_over_parent": over,
                      "past_bound": worse and (over is None
-                                              or abs(over) > metric["bound"])}
+                                              or abs(over) > metric["bound"]),
+                     "gain_resolved": (10 * wins >= 9 * len(pairs)
+                                       and sign * (pm - cm) > spread)}
     out["bad_runs"] = {side: sum(bad(p[side]) for p in pairs)
                        for side in ("parent", "change")}
     out["max_seconds"] = {side: max(p["seconds"][side] for p in pairs)
@@ -181,6 +193,9 @@ def main(argv=None) -> int:
                     f"{workload} {metric['name']}: median {s['parent_median']:.4g}"
                     f" -> {s['change_median']:.4g} ({over}, bound "
                     f"{metric['bound']:.0%}, {metric['better']} is better)")
+    if len(args.seeds) < MIN_PAIRS:
+        print(f"warning: {len(args.seeds)} pairs per workload; resolving a "
+              f"gain takes at least {MIN_PAIRS}", file=sys.stderr)
     for line in worse_runs:
         print(f"bad change run: {line}", file=sys.stderr)
     for line in breaches:
