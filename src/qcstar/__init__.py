@@ -24,9 +24,7 @@ from .ktheory import (
     AbelianGroup,
     IntegerMatrix,
     SNFResult,
-    cokernel,
     k_groups,
-    kernel,
     smith_normal_form,
 )
 from .ncalgebra import (
@@ -63,8 +61,8 @@ __all__ = [
     "BUILTIN_GRAPHS", "Edge", "Graph", "GraphError", "VertexSet",
     "build_ag", "builtin_graph", "hereditary_saturated_sets",
     "lattices_isomorphic", "parse_graph",
-    "AbelianGroup", "IntegerMatrix", "SNFResult", "cokernel", "k_groups",
-    "kernel", "smith_normal_form",
+    "AbelianGroup", "IntegerMatrix", "SNFResult", "k_groups",
+    "smith_normal_form",
     "BUILTIN_MORPHISMS", "AlgebraPresentation", "Element",
     "ExpressionError", "GeneratorMap", "PresentationError",
     "RewriteBudgetError", "builtin_morphism", "check_local_confluence",

@@ -27,10 +27,18 @@ MAX_KTHEORY_VERTICES = 300
 
 # rep residuals, rep spectrum and reproduce-paper refuse a --dim past this
 # before building a representation.  At the bound, reproduce-paper takes
-# 16 s, most of it criterion 7, and 284 MB, most of it criterion 4's
-# dense dim x dim matrix, which grows with the square of dim; rep
-# residuals and rep spectrum take 0.3-0.4 s (2 cores, Python 3.11.7)
+# 14 s, most of it criterion 7, and 156 MB; rep residuals and rep
+# spectrum take 0.3-0.4 s (2 cores, Python 3.11.7)
 MAX_REP_DIM = 4096
+
+# rep independence refuses these before any elimination: each
+# displacement class is one exact elimination kmax + 1 columns wide, with
+# one right-hand side per trial.  At the bounds it takes about 20 s at
+# q = 0.9 and 0.99 (2 cores, Python 3.11.7)
+MAX_INDEPENDENCE_KMAX = 8
+MAX_INDEPENDENCE_MONOMIALS = 90
+MAX_INDEPENDENCE_NMAX = 100
+MAX_INDEPENDENCE_TRIALS = 200
 
 _USAGE_ERRORS = (
     graphs.GraphError,
@@ -227,15 +235,15 @@ def _cmd_algebra(args) -> int:
     return 0
 
 
-def _check_dim(dim: int) -> None:
-    if dim > MAX_REP_DIM:
+def _check_bound(flag: str, value: int, bound: int) -> None:
+    if value > bound:
         raise reps.RepresentationError(
-            f"--dim takes at most {MAX_REP_DIM}; got {dim}")
+            f"{flag} takes at most {bound}; got {value}")
 
 
 def _cmd_rep(args) -> int:
     if args.rep_cmd in ("residuals", "spectrum"):
-        _check_dim(args.dim)
+        _check_bound("--dim", args.dim, MAX_REP_DIM)
     if args.rep_cmd == "residuals":
         rep = reps.build_rep(args.rep, args.q, args.dim, theta=args.theta)
         if args.algebra and rep.presentation.name != args.algebra:
@@ -283,6 +291,16 @@ def _cmd_rep(args) -> int:
         return 0 if ok else 1
     # independence
     import random
+    _check_bound("--kmax", args.kmax, MAX_INDEPENDENCE_KMAX)
+    _check_bound("--nmax", args.nmax, MAX_INDEPENDENCE_NMAX)
+    _check_bound("--trials", args.trials, MAX_INDEPENDENCE_TRIALS)
+    # (kmax + 1)(4 lmax + 3) monomials, counted before the family is built
+    size = max(args.kmax + 1, 0) * max(4 * args.lmax + 3, 0)
+    if size > MAX_INDEPENDENCE_MONOMIALS:
+        raise reps.RepresentationError(
+            f"rep independence takes families of at most "
+            f"{MAX_INDEPENDENCE_MONOMIALS} monomials; --kmax {args.kmax} "
+            f"--lmax {args.lmax} has {size}")
     fam = reps.basis_monomials(args.kmax, args.lmax)
     report = reps.independence_check(fam, q=args.q, n_max=args.nmax,
                                      trials=args.trials,
@@ -310,7 +328,7 @@ def _cmd_rep(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    _check_dim(args.dim)
+    _check_bound("--dim", args.dim, MAX_REP_DIM)
     cfg = acceptance.RunConfig(q=args.q, dim=args.dim, n_max=args.nmax,
                                seed=args.seed)
     results = acceptance.run_all(cfg)

@@ -351,16 +351,6 @@ def _cokernel_and_kernel(m: IntegerMatrix) -> tuple[AbelianGroup, AbelianGroup]:
             AbelianGroup(m.cols - rank))
 
 
-def cokernel(m: IntegerMatrix) -> AbelianGroup:
-    """Z^rows / column span of m, in invariant-factor form."""
-    return _cokernel_and_kernel(m)[0]
-
-
-def kernel(m: IntegerMatrix) -> AbelianGroup:
-    """Kernel of m as a map Z^cols -> Z^rows; always free."""
-    return _cokernel_and_kernel(m)[1]
-
-
 def k_groups(g) -> tuple[AbelianGroup, AbelianGroup]:
     """K0 and K1 of the graph C*-algebra: cokernel and kernel of A_G,
     by _cokernel_and_kernel: its unit pivots taken out, one Bareiss pass

@@ -16,13 +16,15 @@ an isomorphism, the order-two automorphisms of the sphere, and two
 inclusions) build the free-algebra image of an element and normalise it
 once.  They are verified by reducing the image of every defining
 relation to normal form, and fixed points are decided by one normal form
-of phi(x) - x.
+of phi(x) - x.  Every free-algebra sum of words is collected by one
+merge, _collect, and only Element's constructor drops zero terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .coefficients import QLaurent
 
@@ -39,12 +41,24 @@ class RewriteBudgetError(RuntimeError):
     """Raised when a normal-form computation exceeds its step budget."""
 
 
+def _collect(pairs) -> dict[tuple[int, ...], QLaurent]:
+    """Sum (word, coefficient) pairs by word, in order of first appearance.
+
+    A sum that cancels to zero keeps its place; Element drops it."""
+    out: dict[tuple[int, ...], QLaurent] = {}
+    for w, c in pairs:
+        s = out.get(w)
+        out[w] = c if s is None else s + c
+    return out
+
+
 class Element:
     """A finite rational-Laurent combination of words in the generators.
 
     Elements are tied to their presentation; combining elements of
     different presentations raises PresentationError.  Arithmetic is at
     the free-algebra level, normalisation is explicit via normal_form.
+    The constructor drops zero coefficients, so no stored term is zero.
     """
 
     __slots__ = ("presentation", "_terms")
@@ -75,15 +89,9 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_mate(other)
-        merged = dict(self._terms)
-        for w, c in other._terms.items():
-            s = merged.get(w)
-            s = c if s is None else s + c
-            if s:
-                merged[w] = s
-            else:
-                merged.pop(w, None)
-        return Element(self.presentation, merged)
+        return Element(self.presentation,
+                       _collect(chain(self._terms.items(),
+                                      other._terms.items())))
 
     def __sub__(self, other):
         if not isinstance(other, Element):
@@ -100,18 +108,10 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_mate(other)
-        prod: dict[tuple[int, ...], QLaurent] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = prod.get(w)
-                s = c if s is None else s + c
-                if s:
-                    prod[w] = s
-                else:
-                    prod.pop(w, None)
-        return Element(self.presentation, prod)
+        return Element(self.presentation,
+                       _collect((w1 + w2, c1 * c2)
+                                for w1, c1 in self._terms.items()
+                                for w2, c2 in other._terms.items()))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QLaurent)):
@@ -126,18 +126,12 @@ class Element:
 
     def star(self) -> "Element":
         """Involution: reverse each word and star each letter; the
-        coefficients are real, so they stay as they are."""
-        p = self.presentation
-        out: dict[tuple[int, ...], QLaurent] = {}
-        for w, c in self._terms.items():
-            sw = tuple(p._star_idx[i] for i in reversed(w))
-            s = out.get(sw)
-            s = c if s is None else s + c
-            if s:
-                out[sw] = s
-            else:
-                out.pop(sw, None)
-        return Element(p, out)
+        coefficients are real, so they stay as they are.  w -> w* is a
+        bijection on words, so no two terms meet and nothing is merged."""
+        star = self.presentation._star_idx
+        return Element(self.presentation,
+                       {tuple(star[i] for i in reversed(w)): c
+                        for w, c in self._terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -165,7 +159,7 @@ class Rule:
     def __init__(self, left: tuple[int, ...],
                  right: dict[tuple[int, ...], QLaurent], label: str):
         self.left = left
-        self.right = {w: c for w, c in right.items() if c}
+        self.right = right
         self.label = label
 
 
@@ -272,16 +266,10 @@ class AlgebraPresentation:
         stack = list(x._terms.items())
         while stack:
             word, coeff = stack.pop()
-            if not coeff:
-                continue
             m = self._find_match(word)
             if m is None:
                 s = result.get(word)
-                s = coeff if s is None else s + coeff
-                if s:
-                    result[word] = s
-                else:
-                    result.pop(word, None)
+                result[word] = coeff if s is None else s + coeff
                 continue
             budget -= 1
             if budget < 0:
@@ -679,11 +667,7 @@ class GeneratorMap:
                 expanded = [(w + v, c * d) for w, c in expanded
                             for v, d in images[letter]._terms.items()]
             terms += expanded
-        merged: dict[tuple[int, ...], QLaurent] = {}
-        for w, c in terms:
-            s = merged.get(w)
-            merged[w] = c if s is None else s + c
-        return Element(self.target, merged)
+        return Element(self.target, _collect(terms))
 
     def apply(self, x: Element) -> Element:
         """Image of x, reduced to normal form in the target: nf(phi(x))."""
@@ -825,7 +809,7 @@ def random_element(p: AlgebraPresentation, rng, max_terms: int = 4,
                    max_degree: int = 6, coeff_span: int = 5,
                    exponent_span: int = 2) -> Element:
     """Seeded random element, used by the batch verification suites."""
-    terms: dict[tuple[int, ...], QLaurent] = {}
+    terms = []
     n_gens = len(p.generators)
     for _ in range(rng.randint(1, max_terms)):
         length = rng.randint(0, max_degree)
@@ -833,7 +817,5 @@ def random_element(p: AlgebraPresentation, rng, max_terms: int = 4,
         num = rng.randint(-coeff_span, coeff_span)
         den = rng.randint(1, 4)
         exp = rng.randint(-exponent_span, exponent_span)
-        coeff = QLaurent.q_power(exp, Fraction(num, den))
-        prev = terms.get(word)
-        terms[word] = coeff if prev is None else prev + coeff
-    return Element(p, terms)
+        terms.append((word, QLaurent.q_power(exp, Fraction(num, den))))
+    return Element(p, _collect(terms))

@@ -9,6 +9,7 @@ string says so.  See the README for the full discussion.
 import pytest
 
 from qcstar import acceptance
+from qcstar import representations as reps
 
 CRITERION_IDS = [ident for ident, _, _, _ in acceptance.CRITERIA]
 
@@ -50,6 +51,19 @@ def test_criterion_3b_residual_decay(results):
 
 def test_criterion_4_spectrum(results):
     report(results, "4")
+
+
+def test_criterion_4_builds_no_dense_matrix(monkeypatch):
+    # the diagonal is read off the shift form's displacement-0 weights;
+    # evaluate, which builds the dense dim x dim matrix, is never called
+    def dense(*args):
+        raise AssertionError("criterion 4 built a dense matrix")
+    monkeypatch.setattr(reps, "evaluate", dense)
+    passed, detail = acceptance._crit_4_spectrum(
+        acceptance.RunConfig(dim=256))
+    assert passed
+    assert detail == ("exact by construction; nf round-trip deviation "
+                      "0.00e+00 (tol 1e-12)")
 
 
 def test_criterion_5_independence_and_recovery(results):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +326,44 @@ def test_rep_independence_out_of_range_exits_two(capsys, flag, value, reason):
     assert err == f"qcstar: {reason}\n"
 
 
+def test_rep_independence_bounds(capsys, monkeypatch):
+    # past each bound the command exits 2 with one line and starts no
+    # elimination; at the bounds it goes on to the check
+    class Started(Exception):
+        pass
+
+    def started(*args, **kwargs):
+        raise Started
+    monkeypatch.setattr(reps, "independence_check", started)
+    kmax, size = cli.MAX_INDEPENDENCE_KMAX, cli.MAX_INDEPENDENCE_MONOMIALS
+    nmax, trials = cli.MAX_INDEPENDENCE_NMAX, cli.MAX_INDEPENDENCE_TRIALS
+    assert (kmax, size) == (8, 90)
+    for argv in (("--kmax", "8", "--lmax", "1"),
+                 ("--kmax", "5", "--lmax", "3"),
+                 ("--kmax", "0", "--lmax", "21"), ("--nmax", str(nmax)),
+                 ("--trials", str(trials))):
+        with pytest.raises(Started):
+            main(["rep", "independence", *argv])
+    for argv, reason in (
+            (("--kmax", "9", "--lmax", "0"), "--kmax takes at most 8; got 9"),
+            (("--nmax", str(nmax + 1)),
+             f"--nmax takes at most {nmax}; got {nmax + 1}"),
+            (("--trials", str(trials + 1)),
+             f"--trials takes at most {trials}; got {trials + 1}"),
+            (("--kmax", "8", "--lmax", "2"),
+             "rep independence takes families of at most 90 monomials; "
+             "--kmax 8 --lmax 2 has 99"),
+            (("--kmax", "0", "--lmax", "22"),
+             "rep independence takes families of at most 90 monomials; "
+             "--kmax 0 --lmax 22 has 91"),
+            (("--lmax", str(10 ** 12)),
+             "rep independence takes families of at most 90 monomials; "
+             f"--kmax 3 --lmax {10 ** 12} has {4 * (4 * 10 ** 12 + 3)}")):
+        rc, out, err = run(capsys, "rep", "independence", *argv)
+        assert rc == 2 and out == ""
+        assert err == f"qcstar: {reason}\n"
+
+
 def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("QCSTAR_SEED", "123")
     rc, payload, _ = run_json(capsys, "rep", "independence", "--kmax", "0",
@@ -453,3 +492,31 @@ def test_reproduce_paper_json_without_stats_is_unchanged(capsys, monkeypatch):
   "all_passed": false
 }
 """
+
+
+# Exact stdout and exit code of these commands; a change that keeps
+# behaviour keeps every byte
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RUNS = {
+    **{f"verify-morphism-{m}.json": (("algebra", "verify-morphism",
+                                      "--name", m), 0)
+       for m in ("F", "r1", "r2", "rp2-inclusion", "disc-inclusion")},
+    "nf-suq2_mod_b-a5.json": (("algebra", "nf", "--algebra", "suq2_mod_b",
+                               "--expr", "a*^5 a^5"), 0),
+    "nf-rp2-power-4.json": (("algebra", "nf", "--algebra", "rp2",
+                             "--expr", "(P+R+R*+T+T*)^4"), 0),
+    "nf-sphere-half-power-6.json": (("algebra", "nf", "--algebra", "sphere",
+                                     "--s", "1/2", "--expr", "(K+L-L*)^6"),
+                                    0),
+    # exit 1: criterion 3b is kept failing
+    "reproduce-paper-seed-5.json": (("reproduce-paper", "--format", "json",
+                                     "--seed", "5"), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_output(capsys, name):
+    argv, code = GOLDEN_RUNS[name]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (code, "")
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
