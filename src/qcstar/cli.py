@@ -6,6 +6,10 @@ JSON by default (schema "qcstar/1", floats at 12 significant digits,
 byte-identical for identical configs); --format plain gives a loose
 human rendering.  Exit codes: 0 success, 1 failed verification, 2 usage
 or parse errors and normal forms past the rewrite step budget.
+
+_emit adds the "schema" key to every JSON payload; the graph input and
+the representation options are argparse parents shared by the
+subcommands that take them; every package error is a ValueError.
 """
 
 from __future__ import annotations
@@ -39,34 +43,24 @@ MAX_INDEPENDENCE_KMAX = 8
 MAX_INDEPENDENCE_MONOMIALS = 90
 MAX_INDEPENDENCE_NMAX = 100
 MAX_INDEPENDENCE_TRIALS = 200
+# and a --q below this: the exact work grows with the bits of Fraction(q).
+# At the bound --kmax 8 --lmax 1 and --kmax 7 --lmax 2 take 20 s, and 44 s
+# with --nmax 100 --trials 200 (25 s at q = 0.9; 2 cores, Python 3.11.7)
+MIN_INDEPENDENCE_Q = 1e-10
 
-_USAGE_ERRORS = (
-    graphs.GraphError,
-    ncalgebra.ExpressionError,
-    ncalgebra.PresentationError,
-    ncalgebra.RewriteBudgetError,
-    reps.RepresentationError,
-    OSError,
-    ValueError,
-)
+_USAGE_ERRORS = (ValueError, OSError, ncalgebra.RewriteBudgetError)
 
 
 def _render_json(obj, indent=0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if obj is None or isinstance(obj, (bool, str)):
+        import json
+        return json.dumps(obj)
     if isinstance(obj, float):
         return "%.12g" % obj
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, str):
-        import json as _json
-        return _json.dumps(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -74,28 +68,24 @@ def _render_json(obj, indent=0) -> str:
                 for k, v in obj.items()]
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        simple = all(isinstance(x, (int, float, str, bool)) or x is None
-                     for x in seq)
-        if simple:
-            return "[" + ", ".join(_render_json(x) for x in seq) + "]"
-        rows = [f"{inner}{_render_json(x, indent + 1)}" for x in seq]
+        # a list of scalars, the empty list too, goes on one line
+        if all(isinstance(x, (int, float, str)) or x is None for x in obj):
+            return "[" + ", ".join(_render_json(x) for x in obj) + "]"
+        rows = [f"{inner}{_render_json(x, indent + 1)}" for x in obj]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(payload: dict, fmt: str, plain_lines=None) -> None:
-    if fmt == "plain" and plain_lines is not None:
+def _emit(payload: dict, fmt: str, plain_lines) -> None:
+    if fmt == "plain":
         for line in plain_lines:
             print(line)
     else:
-        print(_render_json(payload))
+        print(_render_json({"schema": SCHEMA, **payload}))
 
 
 def _load_graph(args) -> tuple[graphs.Graph, str]:
-    if getattr(args, "builtin", None):
+    if args.builtin:
         return graphs.builtin_graph(args.builtin), args.builtin
     path = args.graphfile
     if path is None:
@@ -112,7 +102,6 @@ def _cmd_graph(args) -> int:
     g, label = _load_graph(args)
     if args.graph_cmd == "validate":
         payload = {
-            "schema": SCHEMA,
             "graph": label,
             "valid": True,
             "vertices": list(g.vertices),
@@ -126,7 +115,6 @@ def _cmd_graph(args) -> int:
         return 0
     ideals = graphs.hereditary_saturated_sets(g)
     payload = {
-        "schema": SCHEMA,
         "graph": label,
         "count": len(ideals),
         "ideals": [list(s.names) for s in ideals],
@@ -145,7 +133,6 @@ def _cmd_ktheory(args) -> int:
             f"vertices; {label} has {len(g.vertices)}")
     k0, k1 = ktheory.k_groups(g)
     payload = {
-        "schema": SCHEMA,
         "graph": label,
         "k0": _group_payload(k0),
         "k1": _group_payload(k1),
@@ -181,7 +168,6 @@ def _cmd_algebra(args) -> int:
         x = p.parse(args.expr)
         nf = p.normal_form(x)
         payload = {
-            "schema": SCHEMA,
             "algebra": args.algebra,
             "input": args.expr,
             "normal_form": str(nf),
@@ -200,7 +186,6 @@ def _cmd_algebra(args) -> int:
             for label, residual in report.entries
         ]
         payload = {
-            "schema": SCHEMA,
             "name": args.name,
             "source": m.source.name,
             "target": m.target.name,
@@ -224,7 +209,6 @@ def _cmd_algebra(args) -> int:
     x = p.parse(args.expr)
     fixed = ncalgebra.is_fixed(auto, x)
     payload = {
-        "schema": SCHEMA,
         "algebra": args.algebra,
         "automorphism": args.auto,
         "expr": args.expr,
@@ -244,8 +228,8 @@ def _check_bound(flag: str, value: int, bound: int) -> None:
 def _cmd_rep(args) -> int:
     if args.rep_cmd in ("residuals", "spectrum"):
         _check_bound("--dim", args.dim, MAX_REP_DIM)
-    if args.rep_cmd == "residuals":
         rep = reps.build_rep(args.rep, args.q, args.dim, theta=args.theta)
+    if args.rep_cmd == "residuals":
         if args.algebra and rep.presentation.name != args.algebra:
             raise reps.RepresentationError(
                 f"representation {args.rep} acts on {rep.presentation.name}, "
@@ -253,7 +237,6 @@ def _cmd_rep(args) -> int:
         report = reps.relation_residuals(rep)
         ok = report.ok(args.tol)
         payload = {
-            "schema": SCHEMA,
             "rep": args.rep,
             "algebra": rep.presentation.name,
             "q": args.q,
@@ -271,11 +254,9 @@ def _cmd_rep(args) -> int:
                f"({'ok' if ok else 'FAILED'})"])
         return 0 if ok else 1
     if args.rep_cmd == "spectrum":
-        rep = reps.build_rep(args.rep, args.q, args.dim, theta=args.theta)
         report = reps.spectrum_check(rep, args.generator)
         ok = report.max_deviation <= args.tol
         payload = {
-            "schema": SCHEMA,
             "rep": args.rep,
             "generator": args.generator,
             "q": args.q,
@@ -294,6 +275,9 @@ def _cmd_rep(args) -> int:
     _check_bound("--kmax", args.kmax, MAX_INDEPENDENCE_KMAX)
     _check_bound("--nmax", args.nmax, MAX_INDEPENDENCE_NMAX)
     _check_bound("--trials", args.trials, MAX_INDEPENDENCE_TRIALS)
+    if 0 < args.q < MIN_INDEPENDENCE_Q:
+        raise reps.RepresentationError(
+            f"--q takes at least {MIN_INDEPENDENCE_Q}; got {args.q}")
     # (kmax + 1)(4 lmax + 3) monomials, counted before the family is built
     size = max(args.kmax + 1, 0) * max(4 * args.lmax + 3, 0)
     if size > MAX_INDEPENDENCE_MONOMIALS:
@@ -307,7 +291,6 @@ def _cmd_rep(args) -> int:
                                      rng=random.Random(args.seed))
     ok = report.ok(1e-8)
     payload = {
-        "schema": SCHEMA,
         "kmax": args.kmax,
         "lmax": args.lmax,
         "q": args.q,
@@ -334,7 +317,6 @@ def _cmd_reproduce(args) -> int:
     results = acceptance.run_all(cfg)
     all_passed = all(r.passed for r in results)
     payload = {
-        "schema": SCHEMA,
         "config": {"q": args.q, "dim": args.dim, "n_max": args.nmax,
                    "seed": args.seed},
         "criteria": [
@@ -378,18 +360,24 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, default="json"):
         p.add_argument("--format", choices=("json", "plain"), default=default)
 
+    # the graph input and the representation options, each spelled once
+    graph_input = argparse.ArgumentParser(add_help=False)
+    graph_input.add_argument("graphfile", nargs="?")
+    graph_input.add_argument("--builtin", choices=graphs.BUILTIN_GRAPHS)
+    add_format(graph_input)
+    rep_input = argparse.ArgumentParser(add_help=False)
+    rep_input.add_argument("--rep", required=True)
+    rep_input.add_argument("--q", type=float, default=0.5)
+    rep_input.add_argument("--dim", type=int, default=64)
+    rep_input.add_argument("--theta", type=float, default=0.0)
+    add_format(rep_input)
+
     pg = sub.add_parser("graph", help="inspect graphs")
     gsub = pg.add_subparsers(dest="graph_cmd", required=True)
     for name in ("validate", "ideals"):
-        spp = gsub.add_parser(name)
-        spp.add_argument("graphfile", nargs="?")
-        spp.add_argument("--builtin", choices=graphs.BUILTIN_GRAPHS)
-        add_format(spp)
-
-    pk = sub.add_parser("ktheory", help="K-groups of a graph C*-algebra")
-    pk.add_argument("graphfile", nargs="?")
-    pk.add_argument("--builtin", choices=graphs.BUILTIN_GRAPHS)
-    add_format(pk)
+        gsub.add_parser(name, parents=[graph_input])
+    sub.add_parser("ktheory", parents=[graph_input],
+                   help="K-groups of a graph C*-algebra")
 
     pa = sub.add_parser("algebra", help="exact rewriting operations")
     asub = pa.add_subparsers(dest="algebra_cmd", required=True)
@@ -414,22 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("rep", help="truncated matrix representations")
     rsub = pr.add_subparsers(dest="rep_cmd", required=True)
-    prr = rsub.add_parser("residuals")
-    prr.add_argument("--rep", required=True)
+    prr = rsub.add_parser("residuals", parents=[rep_input])
     prr.add_argument("--algebra", default=None)
-    prr.add_argument("--q", type=float, default=0.5)
-    prr.add_argument("--dim", type=int, default=64)
-    prr.add_argument("--theta", type=float, default=0.0)
     prr.add_argument("--tol", type=float, default=1e-10)
-    add_format(prr)
-    prs = rsub.add_parser("spectrum")
-    prs.add_argument("--rep", required=True)
+    prs = rsub.add_parser("spectrum", parents=[rep_input])
     prs.add_argument("--generator", required=True)
-    prs.add_argument("--q", type=float, default=0.5)
-    prs.add_argument("--dim", type=int, default=64)
-    prs.add_argument("--theta", type=float, default=0.0)
     prs.add_argument("--tol", type=float, default=1e-12)
-    add_format(prs)
     pri = rsub.add_parser("independence")
     pri.add_argument("--kmax", type=int, default=3)
     pri.add_argument("--lmax", type=int, default=3)

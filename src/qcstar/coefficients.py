@@ -10,6 +10,10 @@ rational ranks and determinants run the other one, fraction-free
 matrices.  The recovery systems stay with Fractions: at q = 0.3, Bareiss
 makes their many right-hand sides multiples of a determinant thousands
 of bits long, and takes three times as long.
+
+Coefficients and the terms of elements are written one way:
+_q_monomial writes |c| q^e and _signed_sum joins signed terms, and both
+QLaurent.__str__ and ncalgebra's element writer call them.
 """
 
 from __future__ import annotations
@@ -131,26 +135,8 @@ class QLaurent:
         return total
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        pieces = []
-        for e, c in sorted(self._terms.items()):
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                qpart = "q" if e == 1 else f"q^{e}"
-                if mag == 1:
-                    body = qpart
-                elif mag.denominator == 1:
-                    body = f"{mag}{qpart}"
-                else:
-                    body = f"({mag}){qpart}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return _signed_sum((str(abs(c)) if e == 0 else _q_monomial(abs(c), e),
+                            c < 0) for e, c in self.items())
 
     def __repr__(self):
         return f"QLaurent({self})"
@@ -165,6 +151,24 @@ def _coerce(value):
 
 
 _F0 = Fraction(0)
+
+
+def _q_monomial(mag: Fraction, e: int) -> str:
+    """|c| q^e: nothing for 1, a fraction in parentheses, then q^e."""
+    scalar = ("" if mag == 1 else str(mag) if mag.denominator == 1
+              else f"({mag})")
+    return scalar + ("" if e == 0 else "q" if e == 1 else f"q^{e}")
+
+
+def _signed_sum(terms) -> str:
+    """Join (body, negative) pairs as -a + b - c, or 0 for none."""
+    pieces = []
+    for body, neg in terms:
+        if not pieces:
+            pieces.append(f"-{body}" if neg else body)
+        else:
+            pieces.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(pieces) or "0"
 
 
 def gauss_jordan(rows, width: int) -> tuple[list[list[Fraction]], list[int]]:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .coefficients import QLaurent
+from .coefficients import QLaurent, _q_monomial, _signed_sum
 
 
 class ExpressionError(ValueError):
@@ -300,18 +300,8 @@ class AlgebraPresentation:
         return " ".join(pieces)
 
     def format_element(self, x: Element) -> str:
-        if x.is_zero():
-            return "0"
-        chunks = []
-        for w in sorted(x._terms, key=self.deglex_key):
-            c = x._terms[w]
-            wtxt = self.format_word(w)
-            body, neg = _format_term(c, wtxt)
-            if not chunks:
-                chunks.append(f"-{body}" if neg else body)
-            else:
-                chunks.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(chunks)
+        return _signed_sum(_format_term(x._terms[w], self.format_word(w))
+                           for w in sorted(x._terms, key=self.deglex_key))
 
     def parse(self, text: str) -> Element:
         """Parse the small expression grammar.
@@ -330,29 +320,13 @@ def _format_term(coeff: QLaurent, word_text: str) -> tuple[str, bool]:
     """Render one term; returns (body, is_negative)."""
     items = coeff.items()
     if len(items) == 1:
-        e, c = items[0]
-        neg = c < 0
-        mag = abs(c)
-        if e == 0:
-            scalar = "" if mag == 1 else str(mag) if mag.denominator == 1 else f"({mag})"
-        else:
-            qpart = "q" if e == 1 else f"q^{e}"
-            if mag == 1:
-                scalar = qpart
-            elif mag.denominator == 1:
-                scalar = f"{mag}{qpart}"
-            else:
-                scalar = f"({mag}){qpart}"
-        if word_text == "1":
-            body = scalar if scalar else str(mag)
-        else:
-            body = f"{scalar} {word_text}" if scalar else word_text
-        return body, neg
-    # multi-term coefficient: parenthesise as a whole
-    body = f"({coeff})"
-    if word_text != "1":
-        body = f"{body} {word_text}"
-    return body, False
+        (e, c), = items
+        scalar, neg = _q_monomial(abs(c), e), c < 0
+    else:
+        scalar, neg = f"({coeff})", False
+    if word_text == "1":
+        return scalar or "1", neg
+    return (f"{scalar} {word_text}" if scalar else word_text), neg
 
 
 # -- expression parser -------------------------------------------------------

@@ -19,7 +19,8 @@ ok = seed not in {bad}
 metrics = {{m: {{"value": {values}.get(seed, {slower}), "unit": "s"}} for m in
            ("wall_s", "setup_s", "slowest_op_s")}}
 metrics["peak_rss_mb"] = {{"value": 40.0, "unit": "MB"}}
-print(json.dumps({{"correct": ok, "attempted": 3, "failed": 0 if ok else 1,
+print(json.dumps({{"correct": ok, "attempted": {attempted}.get(seed, 3),
+                  "failed": 0 if ok else 1,
                   "metrics": metrics}}))
 sys.exit(0 if ok else 1)
 """
@@ -39,15 +40,17 @@ END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
 
 
 def fake_tree(root: Path, bad_seeds, slow=(), silent=(), slower=1.0,
-              pause=(), cache=(), values=None) -> Path:
+              pause=(), cache=(), values=None, attempted=None) -> Path:
     """A tree whose perfbench/run.py prints a fixed result line; its
     three time metrics are `slower` seconds, or values[seed] for a seed
-    in `values`, the seeds in `pause` take a second longer, and those in
-    `cache` leave a src/__pycache__."""
+    in `values`, it attempts 3 operations, or attempted[seed], the seeds
+    in `pause` take a second longer, and those in `cache` leave a
+    src/__pycache__."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(RUN.format(
         bad=set(bad_seeds), slow=set(slow), silent=set(silent), slower=slower,
-        pause=set(pause), cache=set(cache), values=dict(values or {})))
+        pause=set(pause), cache=set(cache), values=dict(values or {}),
+        attempted=dict(attempted or {})))
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
     return root
 
@@ -95,6 +98,26 @@ def test_timed_out_and_silent_runs_are_bad_runs_not_the_end(tmp_path, monkeypatc
     assert doc["summary"]["wall_s"]["pairs"] == 2
     assert doc["pairs"][1]["seconds"]["change"] >= 2
     assert doc["summary"]["max_seconds"]["change"] >= 2
+
+
+def test_median_attempted_is_reported_per_side(tmp_path, monkeypatch):
+    # the change attempts more operations (a faster side runs more rounds);
+    # its seed-3 run prints no result and counts for no median
+    tool = load_tool_on_fake_trees(monkeypatch)
+    parent = fake_tree(tmp_path / "parent", (), attempted={1: 29, 2: 58})
+    change = fake_tree(tmp_path / "change", (), silent=(3,),
+                       attempted={1: 87, 2: 116, 3: 1, 4: 87})
+    out = tmp_path / "out.json"
+    tool.main(["--parent", str(parent), "--change", str(change),
+               "--workload", "w", "--out", str(out),
+               "--seeds", "1", "2", "3", "4"])
+    summary = json.loads(out.read_text())["workloads"]["w"]["summary"]
+    assert summary["median_attempted"] == {"parent": 16, "change": 87}
+    # no result on a side at all: no median
+    assert tool.summary([{"parent": None, "change": None,
+                          "seconds": {"parent": 1.0, "change": 1.0}}],
+                        END_TO_END)["median_attempted"] == {
+        "parent": None, "change": None}
 
 
 def test_medians_past_their_bound_fail_the_tool(tmp_path, monkeypatch, capsys):
@@ -173,7 +196,7 @@ def result(seconds):
     """A result line whose time metrics read `seconds`, RSS 40 MB."""
     metrics = {m["name"]: {"value": seconds} for m in END_TO_END}
     metrics["peak_rss_mb"] = {"value": 40.0}
-    return {"correct": True, "failed": 0, "metrics": metrics}
+    return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
 
 
 def gains(parent, change):

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -337,11 +338,11 @@ def test_rep_independence_bounds(capsys, monkeypatch):
     monkeypatch.setattr(reps, "independence_check", started)
     kmax, size = cli.MAX_INDEPENDENCE_KMAX, cli.MAX_INDEPENDENCE_MONOMIALS
     nmax, trials = cli.MAX_INDEPENDENCE_NMAX, cli.MAX_INDEPENDENCE_TRIALS
-    assert (kmax, size) == (8, 90)
+    assert (kmax, size, cli.MIN_INDEPENDENCE_Q) == (8, 90, 1e-10)
     for argv in (("--kmax", "8", "--lmax", "1"),
                  ("--kmax", "5", "--lmax", "3"),
                  ("--kmax", "0", "--lmax", "21"), ("--nmax", str(nmax)),
-                 ("--trials", str(trials))):
+                 ("--trials", str(trials)), ("--q", "1e-10")):
         with pytest.raises(Started):
             main(["rep", "independence", *argv])
     for argv, reason in (
@@ -358,7 +359,10 @@ def test_rep_independence_bounds(capsys, monkeypatch):
              "--kmax 0 --lmax 22 has 91"),
             (("--lmax", str(10 ** 12)),
              "rep independence takes families of at most 90 monomials; "
-             f"--kmax 3 --lmax {10 ** 12} has {4 * (4 * 10 ** 12 + 3)}")):
+             f"--kmax 3 --lmax {10 ** 12} has {4 * (4 * 10 ** 12 + 3)}"),
+            (("--q", "9.99e-11"), "--q takes at least 1e-10; got 9.99e-11"),
+            (("--q", "1e-300"), "--q takes at least 1e-10; got 1e-300"),
+            (("--q", "5e-324"), "--q takes at least 1e-10; got 5e-324")):
         rc, out, err = run(capsys, "rep", "independence", *argv)
         assert rc == 2 and out == ""
         assert err == f"qcstar: {reason}\n"
@@ -511,6 +515,22 @@ GOLDEN_RUNS = {
     # exit 1: criterion 3b is kept failing
     "reproduce-paper-seed-5.json": (("reproduce-paper", "--format", "json",
                                      "--seed", "5"), 1),
+    "ktheory-G3.json": (("ktheory", "--builtin", "G3"), 0),
+    "graph-validate-G1.json": (("graph", "validate", "--builtin", "G1"), 0),
+    "graph-ideals-G1.txt": (("graph", "ideals", "--builtin", "G1",
+                             "--format", "plain"), 0),
+    "rep-residuals-rho_pm.json": (("rep", "residuals", "--rep", "rho_pm"), 0),
+    "rep-spectrum-pi_plus-K.json": (("rep", "spectrum", "--rep", "pi_plus",
+                                     "--generator", "K"), 0),
+    "rep-independence-3-2.json": (("rep", "independence", "--kmax", "3",
+                                   "--lmax", "2"), 0),
+}
+
+# Exact standard error of usage errors, which print nothing on stdout and
+# exit 2: one raised by the package, one by argparse
+GOLDEN_ERRORS = {
+    "error-unknown-rep.txt": ("rep", "residuals", "--rep", "nope"),
+    "error-unknown-builtin-graph.txt": ("ktheory", "--builtin", "G9"),
 }
 
 
@@ -520,3 +540,42 @@ def test_golden_output(capsys, name):
     rc, out, err = run(capsys, *argv)
     assert (rc, err) == (code, "")
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ERRORS))
+def test_golden_usage_error(capsys, monkeypatch, name):
+    # argparse wraps its usage line at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        rc = main(list(GOLDEN_ERRORS[name]))
+    except SystemExit as exit_:
+        rc = exit_.code
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def parser_options(parser, path=()):
+    """Per subcommand, each option as a user can type it."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(parser_options(sub, path + (name,)))
+        elif not isinstance(action, argparse._HelpAction):
+            out.setdefault(" ".join(path), {})[action.dest] = {
+                "strings": action.option_strings,
+                "default": action.default,
+                "type": getattr(action.type, "__name__", None),
+                "choices": None if action.choices is None
+                else list(action.choices),
+                "required": action.required,
+                "nargs": action.nargs,
+            }
+    return out
+
+
+def test_every_option_of_every_subcommand_is_pinned(monkeypatch):
+    monkeypatch.delenv("QCSTAR_SEED", raising=False)
+    pinned = json.loads((GOLDEN / "cli-options.json").read_text())
+    assert parser_options(build_parser()) == pinned

@@ -19,9 +19,13 @@ metric's bound, whether a gain is resolved (the change better in at
 least nine tenths of all pairs run, ties counting for neither, and its
 median better than the parent's by more than the parent's interquartile
 range), and per side the number of bad runs (no result,
-``correct`` false or ``failed`` above 0) and the longest run's
-seconds, which shows the headroom left before RUN_TIMEOUT.  The end-to-end metrics, with their ``better`` direction
-and ``bound``, are read from the change tree's ``BENCHMARK.json``:
+``correct`` false or ``failed`` above 0), the median number of operations
+``attempted`` over the runs with a result (a workload that runs rounds
+until its time is up attempts more on a faster side, and may hold more
+memory for it) and the longest run's seconds, which shows the headroom
+left before RUN_TIMEOUT.  The end-to-end metrics, with their ``better``
+direction and ``bound``, are read from the change tree's
+``BENCHMARK.json``:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload reproduce --seeds 1 2 3 --out BENCH.json
@@ -131,6 +135,10 @@ def summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
                        for side in ("parent", "change")}
     out["max_seconds"] = {side: max(p["seconds"][side] for p in pairs)
                           for side in ("parent", "change")}
+    attempted = {side: [p[side]["attempted"] for p in pairs if p[side]]
+                 for side in ("parent", "change")}
+    out["median_attempted"] = {side: statistics.median(runs) if runs else None
+                               for side, runs in attempted.items()}
     return out
 
 
