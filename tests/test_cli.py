@@ -524,6 +524,8 @@ GOLDEN_RUNS = {
                                      "--generator", "K"), 0),
     "rep-independence-3-2.json": (("rep", "independence", "--kmax", "3",
                                    "--lmax", "2"), 0),
+    "fixed-r1.txt": (("algebra", "fixed", "--auto", "r1", "--expr",
+                      "K^2 + L L*", "--format", "plain"), 0),
 }
 
 # Exact standard error of usage errors, which print nothing on stdout and
