@@ -135,7 +135,8 @@ def summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
                        for side in ("parent", "change")}
     out["max_seconds"] = {side: max(p["seconds"][side] for p in pairs)
                           for side in ("parent", "change")}
-    attempted = {side: [p[side]["attempted"] for p in pairs if p[side]]
+    attempted = {side: [p[side]["attempted"] for p in pairs
+                       if p[side] is not None]
                  for side in ("parent", "change")}
     out["median_attempted"] = {side: statistics.median(runs) if runs else None
                                for side, runs in attempted.items()}
