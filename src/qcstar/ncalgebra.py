@@ -253,7 +253,9 @@ class AlgebraPresentation:
     def normal_form(self, x: Element) -> Element:
         """Rewrite x until no rule applies.
 
-        Deterministic strategy: leftmost match, first matching rule.
+        Deterministic strategy: leftmost match, first matching rule.  The
+        terms come out in deglex order, the order format_element prints,
+        so evaluating the result does not depend on the reducer.
         Raises RewriteBudgetError past the step budget.  Every rewriting
         system here terminates, but the step count grows exponentially
         with how far letters travel, so legitimate inputs reach the
@@ -281,7 +283,8 @@ class AlgebraPresentation:
             suffix = word[pos + len(rule.left):]
             for rword, rcoeff in rule.right.items():
                 stack.append((prefix + rword + suffix, coeff * rcoeff))
-        return Element(self, result)
+        return Element(self, {w: result[w]
+                              for w in sorted(result, key=self.deglex_key)})
 
     # -- formatting and parsing ---------------------------------------------
 
