@@ -13,18 +13,17 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graphs, ktheory, ncalgebra, representations as reps
 from ._lazy import lazy_module
+from ._record import Record
 from .coefficients import QLaurent
 
 np = lazy_module("numpy")
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Record):
     ident: str
     title: str
     passed: bool
@@ -38,8 +37,7 @@ class CriterionResult:
                 f"({self.seconds:.2f}s/{self.budget_seconds:g}s) - {self.detail}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     q: float = 0.5
     dim: int = 64
     n_max: int = 40

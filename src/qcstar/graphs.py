@@ -17,8 +17,8 @@ name.  The builtin graphs G1-G3 are stored as such texts (builtin_graph).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Record
 from .ktheory import IntegerMatrix
 
 
@@ -30,15 +30,13 @@ class GraphError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     name: str
     source: str
     range: str
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
@@ -59,8 +57,7 @@ class Graph:
                 raise GraphError(f"edge {e.name!r} has undeclared target {e.range!r}")
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(Record):
     """An ordered subset of a graph's vertices."""
 
     graph: Graph

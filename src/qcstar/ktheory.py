@@ -25,15 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from ._lazy import lazy_module
+from ._record import Record
 
 np = lazy_module("numpy")
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Record):
     """Immutable integer matrix, entries row-major."""
 
     rows: int
@@ -135,8 +134,7 @@ def _bareiss(a: list[list[int]], cols: int) -> tuple[int, int, int]:
     return rank, sign * prev, g
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Finitely generated abelian group in invariant-factor form."""
 
     free_rank: int
@@ -163,8 +161,7 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """U * M * V = S with U, V unimodular and S in Smith form."""
 
     u: IntegerMatrix

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ncalgebra
 from ._lazy import lazy_module
+from ._record import Record
 from .coefficients import QLaurent, gauss_jordan
 from .ncalgebra import AlgebraPresentation, Element, GeneratorMap
 
@@ -463,8 +463,7 @@ def evaluate(x: Element, rep: Representation) -> np.ndarray:
     return _dense(rep.shift_form().element(x), rep.dim)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     rep_name: str
     dim: int
     margin: int
@@ -524,8 +523,7 @@ def element_mismatch(x: Element, y: Element, rep: Representation,
                            margin)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     rep_name: str
     generator: str
     is_diagonal: bool
@@ -551,8 +549,7 @@ def spectrum_check(rep: Representation, gen_name: str) -> SpectrumReport:
 FAMILIES = ("PR", "PR*", "PRT", "PR*T*")
 
 
-@dataclass(frozen=True)
-class BasisMonomial:
+class BasisMonomial(Record):
     """One monomial P^k X^l (tail), X and tail fixed by the family tag.
 
     family "PR"    -> P^k R^l
@@ -619,8 +616,7 @@ def exact_action(m: BasisMonomial, n: int, q: Fraction):
     return n, sign * q ** exponent, radicand
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(Record):
     monomial_count: int
     rank: int
     recovery_trials: int

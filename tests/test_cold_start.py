@@ -1,4 +1,5 @@
-"""Start-up: numpy and mpmath load on first use, not with qcstar.
+"""Start-up: numpy and mpmath load on first use, not with qcstar, and
+the package's records load neither dataclasses nor inspect.
 
 pytest and some test modules import numpy themselves, which would hide
 the lazy path, so every check here runs in a fresh interpreter.
@@ -78,3 +79,12 @@ print(json.dumps({{
 """)
     got = json.loads(out.splitlines()[-1])
     assert got == {"before": [], "mpf": True, "equal": True, "shifts": [-2, 0]}
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    out = fresh("-c", """
+import json, sys
+import qcstar
+print(json.dumps([m for m in ("dataclasses", "inspect") if m in sys.modules]))
+""")
+    assert json.loads(out.splitlines()[-1]) == []
