@@ -1,9 +1,9 @@
 """Exact arithmetic: coefficients of the algebra engine, Fraction elimination.
 
 Every coefficient is a Laurent polynomial in the deformation parameter q
-with rational coefficients, stored sparsely by exponent.  All arithmetic
-is exact; floats only appear when a coefficient is evaluated at a numeric
-value of q.  gauss_jordan is the package's Fraction elimination; it
+with rational coefficients, stored as one Kronecker-packed integer over
+a common denominator (QLaurent).  All arithmetic is exact; floats only
+appear when a coefficient is evaluated at a numeric value of q.  gauss_jordan is the package's Fraction elimination; it
 serves the coefficient recovery in representations only.  ktheory's
 rational ranks and determinants run the other one, fraction-free
 (Bareiss) over the integers, which is the faster one on small integer
@@ -18,19 +18,35 @@ QLaurent.__str__ and ncalgebra's element writer call them.
 
 from __future__ import annotations
 
+import math
+import struct
 from fractions import Fraction
 
 
 class QLaurent:
-    """Sparse Laurent polynomial sum_n c_n q^n with rational c_n.
+    """Laurent polynomial sum_n c_n q^n with rational c_n, packed.
 
-    Immutable.  Zero terms are never stored, so ``not self._terms``
-    is the canonical zero test.
+    Immutable in value.  The coefficients are integer digits over one
+    common denominator, c_(lo + step k) = d_k / den, and the digits are
+    one Kronecker-packed integer num = sum_k d_k 2^(w k), balanced digits
+    of w bits (Harvey, J. Symbolic Comput. 2009): a product is one integer
+    product and a sum one integer sum.  The step leaves out exponents
+    that cannot occur; every rule of the sphere, rp2 and suq2_mod_b
+    moves q by an even power, so their coefficients need half the slots.
+
+    A proven bound on every |d_k| is carried through each operation, and
+    the slot width grows before a digit could overflow it.  _tighten
+    brings a value to its canonical form: lowest digit nonzero, the
+    largest step, den coprime to the digits, the exact bound and the
+    smallest width.  Equality and hashing compare canonical forms, and
+    the normal-form engine keeps only tightened values.  num == 0 is the
+    zero test.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_lo", "_step", "_den", "_w", "_bound", "_tight")
 
     def __init__(self, terms=None):
+        digits, lo, den = [], 0, 1
         clean: dict[int, Fraction] = {}
         if terms:
             for exponent, coeff in terms.items():
@@ -38,11 +54,39 @@ class QLaurent:
                     coeff = Fraction(coeff)
                 if coeff:
                     clean[int(exponent)] = coeff
-        self._terms = clean
+        if clean:
+            lo = min(clean)
+            den = math.lcm(*[c.denominator for c in clean.values()])
+            digits = [0] * (max(clean) - lo + 1)
+            for e, c in clean.items():
+                digits[e - lo] = c.numerator * (den // c.denominator)
+        self._set(digits, lo, 1, den)
+
+    def _set(self, digits: list[int], lo: int, step: int, den: int) -> None:
+        """Store sum_k digits[k] q^(lo + step k) / den canonically."""
+        i = next((k for k, d in enumerate(digits) if d), None)
+        if i is None:
+            self._num, self._lo, self._step, self._den, self._w = 0, 0, 0, 1, 8
+            self._bound, self._tight = 0, True
+            return
+        j = len(digits)
+        while not digits[j - 1]:
+            j -= 1
+        g = math.gcd(*[k - i for k in range(i + 1, j) if digits[k]])
+        digits = digits[i:j:g] if g > 1 else digits[i:j]
+        c = math.gcd(den, *digits)
+        if c > 1:
+            digits = [d // c for d in digits]
+        bound = max(map(abs, digits))
+        w = _width(bound)
+        self._num, self._lo, self._den, self._w = (
+            _pack(digits, w), lo + step * i, den // c, w)
+        self._step = step * g if len(digits) > 1 else 0
+        self._bound, self._tight = bound, True
 
     @classmethod
     def one(cls) -> "QLaurent":
-        return cls({0: 1})
+        return _ONE
 
     @classmethod
     def rational(cls, value) -> "QLaurent":
@@ -52,27 +96,59 @@ class QLaurent:
     def q_power(cls, exponent: int, coeff=1) -> "QLaurent":
         return cls({exponent: Fraction(coeff)})
 
+    def _digits(self) -> list[int]:
+        return _unpack(self._num, self._w) if self._num else []
+
+    def _tighten(self) -> "QLaurent":
+        """Bring the representation to canonical form, in place; the
+        value does not change.  Returns self."""
+        if not self._tight:
+            self._set(self._digits(), self._lo, self._step, self._den)
+        return self
+
+    def _integer_terms(self) -> list[tuple[int, int]]:
+        """(exponent, digit) for the nonzero digits, in increasing order
+        of exponent; each coefficient is its digit over _den."""
+        lo, step = self._lo, self._step
+        return [(lo + step * k, d) for k, d in enumerate(self._digits()) if d]
+
     def items(self) -> list[tuple[int, Fraction]]:
         """Terms as (exponent, coefficient) pairs, sorted by exponent."""
-        return sorted(self._terms.items())
+        den = self._den
+        if den == 1:
+            return [(e, Fraction(d)) for e, d in self._integer_terms()]
+        return [(e, Fraction(d, den)) for e, d in self._integer_terms()]
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return self._num != 0
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        merged = dict(self._terms)
-        for e, c in other._terms.items():
-            s = merged.get(e, _F0) + c
-            if s:
-                merged[e] = s
-            else:
-                merged.pop(e, None)
-        out = QLaurent.__new__(QLaurent)
-        out._terms = merged
-        return out
+        a, b = self, other
+        if not b._num:
+            return a
+        if not a._num:
+            return b
+        while True:
+            g = math.gcd(a._den, b._den)
+            sa, sb = b._den // g, a._den // g
+            bound = a._bound * sa + b._bound * sb
+            w = a._w if a._w > b._w else b._w
+            if bound >> (w - 1) and not (a._tight and b._tight):
+                a, b = a._tighten(), b._tighten()   # grow only if it must
+                continue
+            break
+        w = max(w, _width(bound))
+        lo = a._lo if a._lo < b._lo else b._lo
+        step = math.gcd(a._step, b._step, a._lo - b._lo)
+        if not step:   # two monomials of one exponent
+            num = a._num * sa + b._num * sb
+        else:
+            num = ((_at(a, w, step) * sa << w * ((a._lo - lo) // step))
+                   + (_at(b, w, step) * sb << w * ((b._lo - lo) // step)))
+        return _make(num, lo, step, a._den * sa, w, bound) if num else _ZERO
 
     __radd__ = __add__
 
@@ -89,26 +165,47 @@ class QLaurent:
         return other + (-self)
 
     def __neg__(self):
-        out = QLaurent.__new__(QLaurent)
-        out._terms = {e: -c for e, c in self._terms.items()}
+        out = _make(-self._num, self._lo, self._step, self._den, self._w,
+                    self._bound)
+        out._tight = self._tight
         return out
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prod: dict[int, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = prod.get(e, _F0) + c1 * c2
-                if s:
-                    prod[e] = s
-                else:
-                    prod.pop(e, None)
-        out = QLaurent.__new__(QLaurent)
-        out._terms = prod
-        return out
+        a, b = self, other
+        if b is _ONE:
+            return a
+        if a is _ONE:
+            return b
+        if not (a._num and b._num):
+            return _ZERO
+        if abs(a._num) >> (a._w - 1) == 0:
+            a, b = b, a
+        if abs(b._num) >> (b._w - 1) == 0:
+            # b is one digit d q^lo / den: scale a's digits, no repacking
+            d = b._num
+            if a._bound * abs(d) >> (a._w - 1):
+                a = a._tighten()
+            bound = a._bound * abs(d)
+            w = a._w if a._w > bound.bit_length() else _width(bound)
+            return _make(_at(a, w, a._step) * d, a._lo + b._lo, a._step,
+                         a._den * b._den, w, bound)
+        while True:
+            # a product digit sums at most min(slots) products of digits
+            slots = min(abs(a._num).bit_length() // a._w,
+                        abs(b._num).bit_length() // b._w) + 1
+            bound = a._bound * b._bound * slots
+            w = a._w if a._w > b._w else b._w
+            if bound >> (w - 1) and not (a._tight and b._tight):
+                a, b = a._tighten(), b._tighten()
+                continue
+            break
+        w = max(w, _width(bound))
+        step = math.gcd(a._step, b._step)
+        return _make(_at(a, w, step) * _at(b, w, step), a._lo + b._lo, step,
+                     a._den * b._den, w, bound)
 
     __rmul__ = __mul__
 
@@ -116,22 +213,25 @@ class QLaurent:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        a, b = self._tighten(), other._tighten()
+        return (a._num, a._lo, a._step, a._den) == (b._num, b._lo, b._step,
+                                                    b._den)
 
     def __hash__(self):
-        return hash(tuple(sorted(self._terms.items())))
+        a = self._tighten()
+        return hash((a._num, a._lo, a._step, a._den))
 
     def scale_exponents(self, factor: int) -> "QLaurent":
         """Substitute q -> q^factor (exact, exponents multiply)."""
-        out = QLaurent.__new__(QLaurent)
-        out._terms = {e * factor: c for e, c in self._terms.items()}
-        return out
+        return QLaurent({e * factor: c for e, c in self.items()})
 
     def evaluate(self, q):
-        """Numeric value at a given q (float or complex)."""
+        """Numeric value at a given q (float or complex), summed in
+        increasing order of exponent."""
         total = 0.0
-        for e, c in self._terms.items():
-            total = total + (c.numerator / c.denominator) * q ** e
+        den = self._den
+        for e, d in self._integer_terms():
+            total = total + (d / den) * q ** e
         return total
 
     def __str__(self):
@@ -142,15 +242,84 @@ class QLaurent:
         return f"QLaurent({self})"
 
 
+def _make(num: int, lo: int, step: int, den: int, w: int,
+          bound: int) -> QLaurent:
+    """A QLaurent from its parts, not known to be canonical."""
+    out = QLaurent.__new__(QLaurent)
+    out._num, out._lo, out._step, out._den, out._w = num, lo, step, den, w
+    out._bound, out._tight = bound, False
+    return out
+
+
+def _width(bound: int) -> int:
+    """Slot width for balanced digits of absolute value at most bound:
+    bound's bits and a sign bit, rounded up to 8, 16, 32 or a multiple
+    of 64, so that digits unpack in C for the widths up to 64."""
+    bits = bound.bit_length() + 1
+    if bits > 64:
+        return (bits + 63) & ~63
+    return 8 if bits <= 8 else 16 if bits <= 16 else 32 if bits <= 32 else 64
+
+
+_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _halves(w: int, n: int) -> int:
+    """2^(w-1) in each of n slots of w bits: added, it makes every
+    balanced digit nonnegative without a carry."""
+    return int.from_bytes((bytes((w >> 3) - 1) + b"\x80") * n, "little")
+
+
+def _unpack(num: int, w: int) -> list[int]:
+    """The balanced digits of num in slots of w bits, lowest first; the
+    top one may be zero.  A top digit d_t != 0 makes |num| at least
+    2^(w t - 1), so bit_length // w + 1 slots hold them all."""
+    n = abs(num).bit_length() // w + 1
+    step = w >> 3
+    raw = (num + _halves(w, n)).to_bytes(n * step, "little")
+    code = _STRUCT_CODES.get(w)
+    if code:
+        vals = struct.unpack(f"<{n}{code}", raw)
+    else:
+        vals = [int.from_bytes(raw[i:i + step], "little")
+                for i in range(0, n * step, step)]
+    return list(map((1 << (w - 1)).__rsub__, vals))
+
+
+def _pack(digits: list[int], w: int) -> int:
+    """sum_k digits[k] 2^(w k), every |digit| below 2^(w-1)."""
+    half, n = 1 << (w - 1), len(digits)
+    code = _STRUCT_CODES.get(w)
+    if code:
+        raw = struct.pack(f"<{n}{code}", *map(half.__add__, digits))
+    else:
+        raw = b"".join((d + half).to_bytes(w >> 3, "little") for d in digits)
+    return int.from_bytes(raw, "little") - _halves(w, n)
+
+
+def _at(x: QLaurent, w: int, step: int) -> int:
+    """x's packed digits at slot width w >= x._w and a step that divides
+    x's, or any step if x has one digit."""
+    if x._w == w and x._step == step or abs(x._num) >> (x._w - 1) == 0:
+        return x._num   # a lone digit packs as itself at any width
+    digits = x._digits()
+    if x._step != step and len(digits) > 1:
+        spread = [0] * ((len(digits) - 1) * (x._step // step) + 1)
+        spread[::x._step // step] = digits
+        digits = spread
+    return _pack(digits, w)
+
+
 def _coerce(value):
     if isinstance(value, QLaurent):
         return value
     if isinstance(value, (int, Fraction)):
-        return QLaurent({0: Fraction(value)})
+        return QLaurent({0: value})
     return NotImplemented
 
 
-_F0 = Fraction(0)
+_ONE = QLaurent({0: 1})
+_ZERO = QLaurent()
 
 
 def _q_monomial(mag: Fraction, e: int) -> str:

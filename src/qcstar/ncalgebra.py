@@ -10,14 +10,17 @@ a starred partner is self-adjoint.
 
 Each presentation carries rewriting rules oriented by a degree-lexicographic
 monomial order, so every element has a normal form supported on an explicit
-monomial basis.  Coefficients are exact Laurent polynomials in q over the
-rationals.  Generator maps between presentations (the rows of _MORPHISMS:
-an isomorphism, the order-two automorphisms of the sphere, and two
-inclusions) build the free-algebra image of an element and normalise it
-once.  They are verified by reducing the image of every defining
-relation to normal form, and fixed points are decided by one normal form
-of phi(x) - x.  Every free-algebra sum of words is collected by one
-merge, _collect, and only Element's constructor drops zero terms.
+monomial basis.  normal_form folds each word through a table of nf(u g),
+u irreducible and g a generator, kept on the presentation, so its cost is
+polynomial in how far letters travel.  Coefficients are exact Laurent
+polynomials in q over the rationals.  Generator maps between
+presentations (the rows of _MORPHISMS: an isomorphism, the order-two
+automorphisms of the sphere, and two inclusions) build the free-algebra
+image of an element and normalise it once.  They are verified by
+reducing the image of every defining relation to normal form, and fixed
+points are decided by one normal form of phi(x) - x.  Every free-algebra
+sum of words is collected by one merge, _collect, and only Element's
+constructor drops zero terms.
 """
 
 from __future__ import annotations
@@ -171,8 +174,8 @@ class AlgebraPresentation:
     monomial order is degree-lexicographic with generator precedence
     given by position in ``generators``.  Every rule must be strictly
     decreasing in that order; the constructor enforces this, which is
-    what guarantees termination of normal_form.  Each reduction may take
-    at most step_budget rewrite steps.
+    what guarantees termination of normal_form.  Each normal form may
+    take at most step_budget products in its folds.
     """
 
     step_budget = 10 ** 6
@@ -206,10 +209,17 @@ class AlgebraPresentation:
                         f"rule {label} is not order-decreasing at {self.format_word(w)}")
             rules.append(Rule(left, right, label))
         self.rules = tuple(rules)
-        # rules bucketed by first letter for the matcher
-        self._rules_by_first: dict[int, list[Rule]] = {}
+        # rules bucketed by last letter: in a product u g with u
+        # irreducible, a match can only end at g
+        self._rules_by_last: dict[int, list[Rule]] = {}
         for r in self.rules:
-            self._rules_by_first.setdefault(r.left[0], []).append(r)
+            self._rules_by_last.setdefault(r.left[-1], []).append(r)
+        self._lefts = {r.left for r in self.rules}
+        self._left_lengths = sorted({len(r.left) for r in self.rules})
+        # nf(u g) for irreducible u and a generator g, keyed by the word
+        # u g; filled as normal forms need it and kept, since every entry
+        # is a fact about the presentation
+        self._table: dict[tuple[int, ...], tuple] = {}
 
     # -- basic constructors -------------------------------------------------
 
@@ -238,53 +248,117 @@ class AlgebraPresentation:
     def deglex_key(self, word: tuple[int, ...]):
         return (len(word), word)
 
-    def _find_match(self, word: tuple[int, ...]):
-        n = len(word)
-        for pos in range(n):
-            bucket = self._rules_by_first.get(word[pos])
-            if not bucket:
-                continue
-            for rule in bucket:
-                k = len(rule.left)
-                if pos + k <= n and word[pos:pos + k] == rule.left:
-                    return pos, rule
-        return None
+    def _irreducible_prefix(self, word: tuple[int, ...]) -> int:
+        """Length of the longest irreducible proper prefix of word (0 for
+        the empty word).  A fold starts there, so at least the last letter
+        goes through the table and every word of a normal form is the
+        table's own tuple, not a copy."""
+        end = max(len(word) - 1, 0)
+        for k in self._left_lengths:
+            for i, sub in enumerate(zip(*[word[j:] for j in range(k)])):
+                if i + k > end:
+                    break
+                if sub in self._lefts:
+                    end = i + k - 1
+                    break
+        return end
 
     def normal_form(self, x: Element) -> Element:
-        """Rewrite x until no rule applies.
+        """The unique irreducible form of x, its terms in deglex order.
 
-        Deterministic strategy: leftmost match, first matching rule.  The
-        terms come out in deglex order, the order format_element prints,
-        so evaluating the result does not depend on the reducer.
-        Raises RewriteBudgetError past the step budget.  Every rewriting
-        system here terminates, but the step count grows exponentially
-        with how far letters travel, so legitimate inputs reach the
-        budget too: nf(a*^8 a^8) in suq2_mod_b does.
+        Each word is folded left to right from its longest irreducible
+        proper prefix: its other letters are multiplied in one at a time
+        through the table of nf(u g), u irreducible and g a generator.
+        Because u is irreducible, a match in u g can only end at g, so
+        this holds for rules of any left length; Bergman's diamond lemma,
+        with check_local_confluence, makes the result independent of
+        which match is reduced.  A word's coefficient multiplies in once,
+        at the end.  The cost is polynomial in how far letters travel.
+        Raises RewriteBudgetError past step_budget products u g in the
+        folds of x's words, a count that depends on x alone and not on
+        what the table already holds.
         """
         if x.presentation is not self:
             raise PresentationError("element belongs to a different presentation")
-        budget = self.step_budget
-        result: dict[tuple[int, ...], QLaurent] = {}
-        stack = list(x._terms.items())
-        while stack:
-            word, coeff = stack.pop()
-            m = self._find_match(word)
-            if m is None:
-                s = result.get(word)
-                result[word] = coeff if s is None else s + coeff
+        budget = [self.step_budget]
+        terms = []
+        for word, coeff in x._terms.items():
+            k = self._irreducible_prefix(word)
+            nf = self._run(self._fold(word[:k], QLaurent.one(), word[k:],
+                                      budget))
+            terms += [(v, coeff * c) for v, c in nf.items()]
+        result = _collect(terms)
+        return Element(self, {v: result[v]._tighten()
+                              for v in sorted(result, key=self.deglex_key)})
+
+    def _fold(self, u, coeff, letters, budget=None):
+        """nf(coeff u letters) for an irreducible word u, as a dict.
+
+        A generator: it yields each word v g that the table lacks and is
+        sent nf(v g) back (see _run).  budget, a one-item list, is counted
+        down by one per product v g, found in the table or not.
+        """
+        table = self._table
+        cur = {u: coeff}
+        for g in letters:
+            if budget is not None:
+                budget[0] -= len(cur)
+                if budget[0] < 0:
+                    raise RewriteBudgetError(
+                        f"normal form in {self.name} exceeded "
+                        f"{self.step_budget} rewrite steps")
+            nxt: dict[tuple[int, ...], QLaurent] = {}
+            for v, c in cur.items():
+                vg = v + (g,)
+                entry = table.get(vg)
+                if entry is None:
+                    entry = yield vg
+                for w, d in entry:
+                    cd = c * d
+                    s = nxt.get(w)
+                    nxt[w] = cd if s is None else s + cd
+            cur = {w: c for w, c in nxt.items() if c}
+        return cur
+
+    def _product(self, word):
+        """nf(word) for a word whose proper prefixes are irreducible,
+        stored in the table and returned as (word, coefficient) pairs: the
+        first rule that ends the word rewrites it, and each right-hand
+        word is folded into the prefix before it.  A generator, as _fold.
+        """
+        for rule in self._rules_by_last.get(word[-1], ()):
+            k = len(rule.left)
+            if word[-k:] == rule.left:
+                terms = []
+                for right, rc in rule.right.items():
+                    part = yield from self._fold(word[:-k], rc, right)
+                    terms += part.items()
+                entry = tuple((w, c._tighten())
+                              for w, c in _collect(terms).items() if c)
+                break
+        else:
+            entry = ((word, QLaurent.one()),)
+        self._table[word] = entry
+        return entry
+
+    def _run(self, fold):
+        """Drive a fold to its result.  Each word it lacks is computed by
+        _product, whose folds may lack words in turn; an explicit stack
+        of these generators stands in for recursion, whose depth grows
+        with how far a letter travels."""
+        stack, sent = [fold], None
+        while True:
+            try:
+                need = stack[-1].send(sent)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                sent = done.value
                 continue
-            budget -= 1
-            if budget < 0:
-                raise RewriteBudgetError(
-                    f"normal form in {self.name} exceeded "
-                    f"{self.step_budget} rewrite steps")
-            pos, rule = m
-            prefix = word[:pos]
-            suffix = word[pos + len(rule.left):]
-            for rword, rcoeff in rule.right.items():
-                stack.append((prefix + rword + suffix, coeff * rcoeff))
-        return Element(self, {w: result[w]
-                              for w in sorted(result, key=self.deglex_key)})
+            sent = self._table.get(need)
+            if sent is None:
+                stack.append(self._product(need))
 
     # -- formatting and parsing ---------------------------------------------
 

@@ -243,19 +243,17 @@ class ShiftForm:
 def _on_grid(coeff: QLaurent, q: Fraction, unit: int) -> int:
     """The exact value of coeff at q, rounded to a multiple of 1/unit.
 
-    With q = a/b and lo <= 0 <= hi bounding the exponents, every term is
-    brought over the one denominator den * a^-lo * b^hi, den the lcm of
-    the coefficients' denominators, so the sum is one integer and no
-    Fraction is reduced on the way."""
-    terms = coeff.items()  # sorted by exponent
+    With q = a/b and lo <= 0 <= hi bounding the exponents, every integer
+    digit of the coefficient is brought over the one denominator
+    den * a^-lo * b^hi, den the coefficient's own, so the sum is one
+    integer and no Fraction is made on the way."""
+    terms = coeff._integer_terms()  # sorted by exponent
     if not terms:
         return 0
     a, b = q.numerator, q.denominator
     lo, hi = min(terms[0][0], 0), max(terms[-1][0], 0)
-    den = math.lcm(*[c.denominator for _, c in terms])
-    top = sum([c.numerator * (den // c.denominator) * a ** (e - lo)
-               * b ** (hi - e) for e, c in terms])
-    return _round_half_even(top * unit, den * a ** -lo * b ** hi)
+    top = sum([d * a ** (e - lo) * b ** (hi - e) for e, d in terms])
+    return _round_half_even(top * unit, coeff._den * a ** -lo * b ** hi)
 
 
 def _round_half_even(top: int, den: int) -> int:

@@ -170,6 +170,17 @@ def test_algebra_nf_past_the_step_budget_exits_two(capsys, monkeypatch):
     assert err == "qcstar: normal form in rp2 exceeded 3 rewrite steps\n"
 
 
+def test_algebra_nf_past_the_step_budget_exits_two_with_a_warm_table(
+        capsys, monkeypatch):
+    p = presentation("rp2")
+    p.normal_form(p.parse("(R* T)^2"))   # fills the table for this input
+    monkeypatch.setattr(p, "step_budget", 3)
+    rc, out, err = run(capsys, "algebra", "nf",
+                       "--algebra", "rp2", "--expr", "(R* T)^2")
+    assert rc == 2 and out == ""
+    assert err == "qcstar: normal form in rp2 exceeded 3 rewrite steps\n"
+
+
 @pytest.mark.parametrize("command", [("nf", "--algebra", "sphere"),
                                      ("fixed", "--auto", "r1")])
 def test_zero_denominator_s_exits_two(capsys, command):

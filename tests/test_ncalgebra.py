@@ -22,6 +22,7 @@ from qcstar.ncalgebra import (
     presentation,
     random_element,
 )
+from reference_reducer import find_match
 
 ALGEBRAS = ("sphere", "disc", "rp2", "suq2_mod_b")
 
@@ -49,7 +50,7 @@ def named_terms(x):
 
 def is_normal_word(p, word):
     """True when no rule's left side occurs as a subword."""
-    return p._find_match(tuple(word)) is None
+    return find_match(p, tuple(word)) is None
 
 
 def in_declared_basis(p, word):
@@ -385,6 +386,20 @@ def test_rewrite_budget():
         tiny.normal_form(deep)
     roomy = AlgebraPresentation("roomy", ("x", "x*"), rules)
     assert not roomy.normal_form(roomy.word(*(["x*"] * 3 + ["x"] * 3))).is_zero()
+
+
+def test_rewrite_budget_with_a_warm_table():
+    # the same input, reduced once with room before the budget is set:
+    # the table now holds every product, and the count is the same
+    rules = [(("x*", "x"),
+              {("x", "x*"): QLaurent.q_power(1),
+               (): QLaurent({0: 1, 1: -1})})]
+    tiny = AlgebraPresentation("tiny", ("x", "x*"), rules)
+    deep = tiny.word(*(["x*"] * 3 + ["x"] * 3))
+    assert not tiny.normal_form(deep).is_zero()
+    tiny.step_budget = 4
+    with pytest.raises(RewriteBudgetError):
+        tiny.normal_form(deep)
 
 
 # -- parity helpers --------------------------------------------------------------
