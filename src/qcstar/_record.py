@@ -27,28 +27,36 @@ class Record:
         cls._fields = cls._fields + own
         cls._defaults = {**cls._defaults, **{f: cls.__dict__[f] for f in own
                                              if f in cls.__dict__}}
+        cls._post_init = hasattr(cls, "__post_init__")
 
     def __init__(self, *args, **kwargs):
-        fields, name = self._fields, type(self).__name__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments "
-                            f"but {len(args)} were given")
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._arguments(args, kwargs)
         for field, value in zip(fields, args):
             object.__setattr__(self, field, value)
-        for field in fields[len(args):]:
+        if self._post_init:
+            self.__post_init__()
+
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in order, from arguments and defaults."""
+        name = cls.__name__
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{name}() takes {len(cls._fields)} arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for field in cls._fields[len(args):]:
             if field in kwargs:
-                value = kwargs.pop(field)
-            elif field in self._defaults:
-                value = self._defaults[field]
+                values.append(kwargs.pop(field))
+            elif field in cls._defaults:
+                values.append(cls._defaults[field])
             else:
                 raise TypeError(f"{name}() missing argument {field!r}")
-            object.__setattr__(self, field, value)
         if kwargs:
             raise TypeError(f"{name}() got an unexpected or repeated "
                             f"argument {next(iter(kwargs))!r}")
-        post = getattr(self, "__post_init__", None)
-        if post is not None:
-            post()
+        return values
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

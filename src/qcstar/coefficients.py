@@ -54,6 +54,13 @@ class QLaurent:
                     coeff = Fraction(coeff)
                 if coeff:
                     clean[int(exponent)] = coeff
+        if len(clean) == 1:   # a monomial, already canonical
+            (lo, c), = clean.items()
+            self._num, self._lo, self._step, self._den = (
+                c.numerator, lo, 0, c.denominator)
+            self._bound = abs(c.numerator)
+            self._w, self._tight = _width(self._bound), True
+            return
         if clean:
             lo = min(clean)
             den = math.lcm(*[c.denominator for c in clean.values()])
@@ -109,7 +116,9 @@ class QLaurent:
     def _integer_terms(self) -> list[tuple[int, int]]:
         """(exponent, digit) for the nonzero digits, in increasing order
         of exponent; each coefficient is its digit over _den."""
-        lo, step = self._lo, self._step
+        lo, step, num = self._lo, self._step, self._num
+        if abs(num) >> (self._w - 1) == 0:   # one digit, or none
+            return [(lo, num)] if num else []
         return [(lo + step * k, d) for k, d in enumerate(self._digits()) if d]
 
     def items(self) -> list[tuple[int, Fraction]]:
@@ -275,6 +284,8 @@ def _unpack(num: int, w: int) -> list[int]:
     top one may be zero.  A top digit d_t != 0 makes |num| at least
     2^(w t - 1), so bit_length // w + 1 slots hold them all."""
     n = abs(num).bit_length() // w + 1
+    if n == 1:
+        return [num]   # a lone digit, the common case
     step = w >> 3
     raw = (num + _halves(w, n)).to_bytes(n * step, "little")
     code = _STRUCT_CODES.get(w)
@@ -289,6 +300,8 @@ def _unpack(num: int, w: int) -> list[int]:
 def _pack(digits: list[int], w: int) -> int:
     """sum_k digits[k] 2^(w k), every |digit| below 2^(w-1)."""
     half, n = 1 << (w - 1), len(digits)
+    if n == 1:
+        return digits[0]
     code = _STRUCT_CODES.get(w)
     if code:
         raw = struct.pack(f"<{n}{code}", *map(half.__add__, digits))
