@@ -20,7 +20,7 @@ image of an element and normalise it once.  They are verified by
 reducing the image of every defining relation to normal form, and fixed
 points are decided by one normal form of phi(x) - x.  Every free-algebra
 sum of words is collected by one merge, _collect, and only Element's
-constructor drops zero terms.
+constructor drops zero terms from an element.
 """
 
 from __future__ import annotations
