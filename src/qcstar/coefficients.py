@@ -3,13 +3,14 @@
 Every coefficient is a Laurent polynomial in the deformation parameter q
 with rational coefficients, stored as one Kronecker-packed integer over
 a common denominator (QLaurent).  All arithmetic is exact; floats only
-appear when a coefficient is evaluated at a numeric value of q.  gauss_jordan is the package's Fraction elimination; it
-serves the coefficient recovery in representations only.  ktheory's
-rational ranks and determinants run the other one, fraction-free
-(Bareiss) over the integers, which is the faster one on small integer
-matrices.  The recovery systems stay with Fractions: at q = 0.3, Bareiss
-makes their many right-hand sides multiples of a determinant thousands
-of bits long, and takes three times as long.
+appear when a coefficient is evaluated at a numeric value of q.
+gauss_jordan is the package's Fraction elimination; it serves the
+coefficient recovery in representations only.  ktheory's rational ranks
+and determinants run the other one, fraction-free (Bareiss) over the
+integers, which is the faster one on small integer matrices.  The
+recovery systems stay with Fractions: at q = 0.3, Bareiss makes their
+many right-hand sides multiples of a determinant thousands of bits long,
+and takes three times as long.
 
 Coefficients and the terms of elements are written one way:
 _q_monomial writes |c| q^e and _signed_sum joins signed terms, and both

@@ -86,7 +86,7 @@ def test_str_forms():
     assert "1/2" in s and "q^2" in s
 
 
-# -- the packed store against a Fraction-dict reference ------------------------
+# -- the packed store against a Fraction-dict reference ----------------------
 
 def reference(x):
     """x as an exponent -> Fraction dict, the store QLaurent replaced."""
@@ -191,7 +191,8 @@ def test_mixed_denominators_reduce_to_the_canonical_form():
     assert (a + b).items() == [(0, Fraction(1, 2)), (2, Fraction(1, 6))]
     assert (a * 12).items() == [(0, Fraction(2)), (2, Fraction(3))]
     half = QLaurent.rational(Fraction(1, 2))
-    assert half * 2 == QLaurent.one() and hash(half * 2) == hash(QLaurent.one())
+    one = QLaurent.one()
+    assert half * 2 == one and hash(half * 2) == hash(one)
     # exponents on a step of 6 meet one off the step
     c = QLaurent({-4: 1, 2: 1, 8: 1}) + QLaurent.q_power(1, Fraction(2, 9))
     assert c.items() == [(-4, Fraction(1)), (1, Fraction(2, 9)),

@@ -34,7 +34,8 @@ def test_construction_order_and_defaults_match_a_dataclass():
         assert (got.free_rank, got.torsion) == (want.free_rank, want.torsion)
         assert list(vars(got)) == ["free_rank", "torsion"]
     assert RunConfig() == RunConfig(0.5, 64, 40, 0)
-    assert repr(RunConfig(seed=3)) == "RunConfig(q=0.5, dim=64, n_max=40, seed=3)"
+    assert repr(RunConfig(seed=3)) == \
+        "RunConfig(q=0.5, dim=64, n_max=40, seed=3)"
 
 
 @pytest.mark.parametrize("args, kwargs", [((), {}), ((1, (), 2), {}),
